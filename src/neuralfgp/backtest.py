@@ -64,8 +64,8 @@ class WalkForwardConfig:
     widths: tuple = (64, 64)
     train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
+    warm_start: bool = True  # each window starts from the previous window's trained theta
     jobs: int = 1
-    chain_windows: bool = False
 
     def __post_init__(self):
         if self.train_days < 2:
@@ -74,6 +74,8 @@ class WalkForwardConfig:
             raise ConfigError("test_days must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.jobs > 1 and self.warm_start:
+            raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
 
     def strategies(self):
         """Benchmark labels in report order: neural first, then classical."""
@@ -87,7 +89,6 @@ class WalkForwardReport:
     labels: tuple
     terminal: dict  # label -> np.ndarray of V_{T_k}, k = 1..K
     boundaries: tuple  # (train_start, test_start, test_end) per window
-    chained: bool = False
 
     @property
     def n_windows(self):
@@ -95,10 +96,6 @@ class WalkForwardReport:
 
     def average_log_return(self, label):
         return float(np.mean(np.log(self.terminal[label])))
-
-    def cumulative(self, label):
-        """Chained wealth across windows (the optional cumulative view)."""
-        return np.cumprod(self.terminal[label])
 
 
 def window_count(n_rows, train_days=200, test_days=20):
@@ -112,22 +109,23 @@ def window_count(n_rows, train_days=200, test_days=20):
 
 
 def _run_window(args):
-    """Train and evaluate one window. Top-level so process pools can pickle it."""
+    """Train and evaluate one window; returns (terminals, trained theta as JSON).
+
+    theta0_json None trains from a fresh init seeded by the window index.
+    Top-level so process pools can pickle it.
+    """
     train_slice, test_slice, cfg, window_index, theta0_json = args
-    if theta0_json is not None:
-        theta0 = icnn.from_json(theta0_json)
-    else:
+    if theta0_json is None:
         theta0 = icnn.init(train_slice.shape[1], cfg.widths, seed=cfg.seed + window_index)
+    else:
+        theta0 = icnn.from_json(theta0_json)
     theta, _ = train_window(theta0, train_slice, cfg.train)
 
-    terminals = {}
-    clip_c = cfg.train.grad_clip_c
-    neural_v = relative_wealth(lambda x: fgp.neural_weights(theta, x, clip_c=clip_c), test_slice)
-    terminals["FGP"] = neural_v.terminal
+    terminals = {"FGP": relative_wealth(lambda x: fgp.neural_weights(theta, x), test_slice).terminal}
     for gen in cfg.strategies():
         v = relative_wealth(lambda x, g=gen: fgp.classical_weights(g, x), test_slice)
         terminals[gen.label] = v.terminal
-    return window_index, terminals, icnn.to_json(theta)
+    return terminals, icnn.to_json(theta)
 
 
 def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardReport:
@@ -142,28 +140,23 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
         test_end = test_start + cfg.test_days
         boundaries.append((start, test_start, test_end))
         # test slice includes its left edge so the first test ratio is defined
-        jobs_args.append((W[start : test_start + 1].copy(), W[test_start : test_end + 1].copy(), cfg, k, None))
+        jobs_args.append((W[start : test_start + 1].copy(), W[test_start : test_end + 1].copy(), cfg, k))
 
-    if cfg.train.warm_start or cfg.jobs == 1:
+    if cfg.jobs == 1:
         results = []
         theta_json = None
         for args in jobs_args:
-            if cfg.train.warm_start:
-                args = args[:4] + (theta_json,)
-            idx, terminals, theta_json_out = _run_window(args)
-            if cfg.train.warm_start:
-                theta_json = theta_json_out
-            results.append((idx, terminals))
+            terminals, trained_json = _run_window(args + (theta_json,))
+            if cfg.warm_start:
+                theta_json = trained_json
+            results.append(terminals)
     else:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = [(idx, terminals) for idx, terminals, _ in pool.map(_run_window, jobs_args)]
+            results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
 
-    results.sort(key=lambda r: r[0])
     labels = tuple(["FGP"] + [g.label for g in cfg.strategies()])
-    terminal = {
-        label: np.array([terminals[label] for _, terminals in results]) for label in labels
-    }
-    return WalkForwardReport(labels, terminal, tuple(boundaries), chained=cfg.chain_windows)
+    terminal = {label: np.array([terminals[label] for terminals in results]) for label in labels}
+    return WalkForwardReport(labels, terminal, tuple(boundaries))
 
 
 def summarize(report: WalkForwardReport):
@@ -194,7 +187,7 @@ class MasterDecomposition:
     residual: float
 
 
-def master_residual(gen: fgp.Generator, weights_matrix, fd_step=1e-4) -> MasterDecomposition:
+def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     """Discrete check of the pathwise decomposition for one generator.
 
     The drift increment at step s uses the Hessian at the left endpoint and
@@ -204,19 +197,14 @@ def master_residual(gen: fgp.Generator, weights_matrix, fd_step=1e-4) -> MasterD
     W = np.asarray(weights_matrix, dtype=np.float64)
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
-    if gen.kind == "neural":
-        weights_fn = lambda x: fgp.neural_weights(gen.theta, x)
-    else:
-        weights_fn = lambda x: fgp.classical_weights(gen, x)
-
-    log_v = float(np.log(relative_wealth(weights_fn, W).terminal))
+    log_v = float(np.log(relative_wealth(lambda x: fgp.weights(gen, x), W).terminal))
     log_g_ratio = float(np.log(fgp.generator_value(gen, W[-1]) / fgp.generator_value(gen, W[0])))
 
     d_log = np.diff(np.log(W), axis=0)
     drift = 0.0
     for s in range(d_log.shape[0]):
         x = W[s]
-        H = fgp.generator_hessian(gen, x, fd_step=fd_step)
+        H = fgp.generator_hessian(gen, x)
         d_tau = np.outer(d_log[s], d_log[s])
         drift += -0.5 / fgp.generator_value(gen, x) * float(((H * np.outer(x, x)) * d_tau).sum())
     residual = log_v - log_g_ratio - drift
@@ -237,7 +225,7 @@ def write_window_csv(path, report: WalkForwardReport):
         for k in range(report.n_windows):
             for label in report.labels:
                 v = report.terminal[label][k]
-                writer.writerow([k + 1, label, repr(v), repr(float(np.log(v)))])
+                writer.writerow([k + 1, label, repr(float(v)), repr(float(np.log(v)))])
 
 
 def write_summary_csv(path, report: WalkForwardReport):

@@ -36,7 +36,6 @@ class RunConfig:
     p_vals: tuple = (0.3, 0.5, 0.8)
     days: int = 1000
     data_path: str = None
-    fetch_url: str = None
     seed: int = 0
     train_days: int = 200
     test_days: int = 20
@@ -136,21 +135,19 @@ def _load_weights(cfg: RunConfig):
     return market_data.normalize_to_weights(prices)
 
 
+def _train_config(cfg: RunConfig):
+    return training.TrainConfig(lambda_l2=cfg.lam, learning_rate=cfg.lr, epochs=cfg.epochs)
+
+
 def _walk_config(cfg: RunConfig):
-    train_cfg = training.TrainConfig(
-        lambda_l2=cfg.lam,
-        learning_rate=cfg.lr,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        warm_start=cfg.warm_start,
-    )
     return backtest.WalkForwardConfig(
         train_days=cfg.train_days,
         test_days=cfg.test_days,
         p_vals=cfg.p_vals,
         widths=cfg.widths,
-        train=train_cfg,
+        train=_train_config(cfg),
         seed=cfg.seed + TRAIN_SEED_OFFSET,
+        warm_start=cfg.warm_start,
         jobs=cfg.jobs,
     )
 
@@ -180,10 +177,7 @@ def cmd_train(args):
         raise DataError(f"training needs {needed} rows, data has {len(weights)}")
     window = weights.weights[:needed]
     theta0 = icnn.init(weights.n_assets, cfg.widths, seed=cfg.seed + TRAIN_SEED_OFFSET)
-    train_cfg = training.TrainConfig(
-        lambda_l2=cfg.lam, learning_rate=cfg.lr, epochs=cfg.epochs, seed=cfg.seed
-    )  # warm_start is a walk-forward concern; a single window always trains fresh
-    theta, log_rows = training.train_window(theta0, window, train_cfg)
+    theta, log_rows = training.train_window(theta0, window, _train_config(cfg))
     os.makedirs(cfg.out, exist_ok=True)
     icnn.save(theta, os.path.join(cfg.out, "theta.json"))
     training.write_training_log(os.path.join(cfg.out, "training_log.csv"), log_rows)

@@ -1,6 +1,6 @@
 """Portfolio weight maps: the generic functionally-generated rule, the
-simplex projection used by the neural portfolio, and closed-form classical
-generators with their analytic gradients and Hessians.
+neural map, and closed-form classical generators with their analytic
+gradients and Hessians.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from . import autodiff as ad
 from . import icnn
 from .errors import ConfigError, DimensionError, NumericError
 
-WEIGHT_FLOOR = 1e-6  # clip level of the simplex projection
+PORTFOLIO_WEIGHT_FLOOR = 1e-6  # neural weights are floored here, then renormalised
 GRAD_CLIP = 10.0  # componentwise cap on grad log G for the neural map
+FD_STEP = 1e-4  # central-difference step of the neural Hessian
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,6 @@ def raw_fgp_weights(grad_log_g, x) -> np.ndarray:
     return (g + 1.0 - x @ g) * x
 
 
-def project_to_simplex(pi_raw) -> PortfolioWeights:
-    """Clip entries at the floor and renormalise; uniform if nothing is positive."""
-    pi = np.asarray(pi_raw, dtype=np.float64)
-    if not np.isfinite(pi).all():
-        raise NumericError("project_to_simplex: non-finite weight")
-    if np.all(pi <= 0):
-        return PortfolioWeights(np.full(pi.shape, 1.0 / pi.size))
-    pi = np.maximum(pi, WEIGHT_FLOOR)
-    return PortfolioWeights(pi / pi.sum())
-
-
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
     """Closed-form weights for the non-neural generators."""
     x = np.asarray(x, dtype=np.float64)
@@ -130,9 +120,9 @@ def generator_value(gen: Generator, x) -> float:
     return max(icnn.generating_function(gen.theta, x), icnn.G_FLOOR)
 
 
-def generator_hessian(gen: Generator, x, fd_step=1e-4) -> np.ndarray:
+def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G. Analytic for classical generators; central finite
-    differences for the neural one (diagnostics-only, slow)."""
+    differences for the neural one (diagnostics only)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if gen.kind == "constant":
@@ -151,21 +141,19 @@ def generator_hessian(gen: Generator, x, fd_step=1e-4) -> np.ndarray:
         return H
     if gen.kind == "entropy":
         return np.diag(-1.0 / x)
-    return _fd_hessian(lambda y: icnn.generating_function(gen.theta, y), x, fd_step)
+    return _fd_hessian(gen.theta, x)
 
 
-def _fd_hessian(func, x, h):
+def _fd_hessian(theta, x):
+    """Central differences of G over the pairs i <= j, all 2n(n+1) stencil points in one batch."""
     n = x.size
+    i, j = np.triu_indices(n)
+    E = FD_STEP * np.eye(n)
+    ei, ej = E[i], E[j]
+    stencil = x + np.concatenate([ei + ej, ei - ej, ej - ei, -ei - ej])
+    g = icnn.generating_function(theta, stencil).reshape(4, -1)
     H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                func(x + ei + ej) - func(x + ei - ej) - func(x - ei + ej) + func(x - ei - ej)
-            ) / (4.0 * h * h)
+    H[i, j] = H[j, i] = (g[0] - g[1] - g[2] + g[3]) / (4.0 * FD_STEP * FD_STEP)
     return H
 
 
@@ -174,33 +162,33 @@ def _fd_hessian(func, x, h):
 # ---------------------------------------------------------------------------
 
 
-def build_neural_pi(nodes, X, widths, clip_c=GRAD_CLIP, floor=WEIGHT_FLOOR):
+def build_neural_pi(nodes, X, widths):
     """Node graph for neural portfolio weights at every row of X.
 
-    Pipeline: grad log G -> componentwise clip at +-clip_c -> generic FGP map
-    -> floor-and-renormalise. Clip and floor use the maximum primitive, so the
-    whole map stays differentiable in the parameters.
+    Pipeline: grad log G -> componentwise clip at +-GRAD_CLIP -> generic FGP
+    map -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise. Clip and floor use
+    the maximum primitive, so the whole map stays differentiable in the
+    parameters.
 
     Returns (pi (T, n), G (T,)).
     """
     g, G, _ = icnn.build_grad_log_g(nodes, X, widths)
-    g = ad.maximum(g, -clip_c)
-    g = -ad.maximum(-g, -clip_c)
-    T = X.value.shape[0]
+    g = ad.maximum(g, -GRAD_CLIP)
+    g = -ad.maximum(-g, -GRAD_CLIP)
     xg = ad.sum_(X * g, axis=1, keepdims=True)
     pi_raw = (g + (1.0 - xg)) * X
-    pi_floored = ad.maximum(pi_raw, floor)
+    pi_floored = ad.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
     pi = pi_floored / ad.sum_(pi_floored, axis=1, keepdims=True)
     return pi, G
 
 
-def neural_weights(theta: icnn.ICNNParams, x, clip_c=GRAD_CLIP) -> PortfolioWeights:
+def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
     """Evaluate the neural weight map at one simplex point."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (theta.n,):
         raise DimensionError(f"neural_weights: expected shape ({theta.n},), got {x.shape}")
     nodes = icnn.params_to_nodes(theta)
-    pi, _ = build_neural_pi(nodes, ad.constant(x[None, :]), theta.widths, clip_c=clip_c)
+    pi, _ = build_neural_pi(nodes, ad.constant(x[None, :]), theta.widths)
     return PortfolioWeights(pi.value[0].copy())
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class ICNNParams:
     def n(self):
         return self.W[0].shape[1]
 
-    @property
-    def depth(self):
-        return len(self.widths)
-
     def arrays(self):
         """Flat (name, array) view in a fixed order; c as a 0-d array."""
         out = []
@@ -68,65 +64,37 @@ def _validate_widths(n, widths):
     return widths
 
 
-def init(n, widths=(64, 64), seed=0) -> ICNNParams:
-    """Glorot-uniform init; constrained weights take the absolute value of the draw.
+def _shapes(n, widths):
+    """Array shapes by name, in arrays() order."""
+    K = len(widths)
+    shapes = {"W0": (widths[0], n)}
+    shapes.update({f"W{k}": (widths[k], widths[k - 1]) for k in range(1, K)})
+    shapes.update({f"U{k}": (widths[k], n) for k in range(1, K)})
+    shapes.update({f"b{k}": (widths[k],) for k in range(K)})
+    shapes.update(w=(widths[-1],), u=(n,), c=())
+    return shapes
 
-    c is shifted after a probe evaluation so that G = -f exceeds 1 at the
-    uniform simplex point.
+
+def init(n, widths=(64, 64), seed=0) -> ICNNParams:
+    """Glorot-uniform init (a vector counts as one column); biases and c start at 0.
+
+    Constrained weights take the absolute value of the draw. c is shifted
+    after a probe evaluation so that G = -f exceeds 1 at the uniform simplex
+    point.
     """
     widths = _validate_widths(n, widths)
     rng = np.random.default_rng(seed)
-
-    def glorot(rows, cols, nonneg=False):
-        a = np.sqrt(6.0 / (rows + cols))
-        m = rng.uniform(-a, a, (rows, cols))
-        return np.abs(m) if nonneg else m
-
-    K = len(widths)
-    W = [glorot(widths[0], n)]
-    for k in range(1, K):
-        W.append(glorot(widths[k], widths[k - 1], nonneg=True))
-    U = [glorot(widths[k], n) for k in range(1, K)]
-    b = [np.zeros(widths[k]) for k in range(K)]
-    w = np.abs(rng.uniform(-np.sqrt(6.0 / (widths[-1] + 1)), np.sqrt(6.0 / (widths[-1] + 1)), widths[-1]))
-    u = rng.uniform(-np.sqrt(6.0 / (n + 1)), np.sqrt(6.0 / (n + 1)), n)
-
-    probe = ICNNParams(tuple(W), tuple(U), tuple(b), w, u, 0.0, widths)
-    f0, _ = forward(probe, np.full(n, 1.0 / n))
-    return ICNNParams(tuple(W), tuple(U), tuple(b), w, u, -f0 - 2.0, widths)
-
-
-@dataclass(frozen=True)
-class ForwardCache:
-    """Pre-activations p_k and activations z_k for each hidden layer."""
-
-    p: tuple
-    z: tuple
-    f_value: float
-
-
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def forward(theta: ICNNParams, x) -> tuple:
-    """Evaluate f(x) through the convex recursion; returns (f, ForwardCache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (theta.n,):
-        raise DimensionError(f"forward: expected input of shape ({theta.n},), got {x.shape}")
-    p = [theta.W[0] @ x + theta.b[0]]
-    z = [_softplus(p[0])]
-    for k in range(1, theta.depth):
-        p.append(theta.W[k] @ z[-1] + theta.U[k - 1] @ x + theta.b[k])
-        z.append(_softplus(p[-1]))
-    f = float(theta.w @ z[-1] + theta.u @ x + theta.c)
-    return f, ForwardCache(tuple(p), tuple(z), f)
-
-
-def generating_function(theta: ICNNParams, x) -> float:
-    """G(x) = -f(x). May be nonpositive; downstream logs clamp at G_FLOOR."""
-    f, _ = forward(theta, x)
-    return -f
+    arrays = {}
+    for name, shape in _shapes(n, widths).items():
+        if name[0] in "bc":
+            arrays[name] = np.zeros(shape)
+            continue
+        a = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+        draw = rng.uniform(-a, a, shape)
+        nonneg = name == "w" or (name[0] == "W" and name != "W0")
+        arrays[name] = np.abs(draw) if nonneg else draw
+    probe = from_arrays(arrays, widths)
+    return replace(probe, c=-forward(probe, np.full(n, 1.0 / n)) - 2.0)
 
 
 def project_constraints(theta: ICNNParams) -> ICNNParams:
@@ -159,10 +127,6 @@ def from_arrays(arrays, widths) -> ICNNParams:
     )
 
 
-def nodes_to_params(nodes, widths) -> ICNNParams:
-    return from_arrays({name: node.value for name, node in nodes.items()}, widths)
-
-
 def build_f(nodes, X, widths):
     """Node graph for f over every row of X. Returns (f (T,), pre-activation list)."""
     K = len(widths)
@@ -173,6 +137,20 @@ def build_f(nodes, X, widths):
         Z = ad.softplus(P[-1])
     f = Z @ nodes["w"] + X @ nodes["u"] + nodes["c"]
     return f, P
+
+
+def forward(theta: ICNNParams, x):
+    """f at a point of shape (n,), as a float, or at each row of an (m, n) batch, as an (m,) array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
+        raise DimensionError(f"forward: expected input of shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
+    f, _ = build_f(params_to_nodes(theta), ad.constant(np.atleast_2d(x)), theta.widths)
+    return float(f.value[0]) if x.ndim == 1 else f.value
+
+
+def generating_function(theta: ICNNParams, x):
+    """G(x) = -f(x), shaped as forward's result. May be nonpositive; downstream logs clamp at G_FLOOR."""
+    return -forward(theta, x)
 
 
 def build_grad_log_g(nodes, X, widths):
@@ -240,21 +218,20 @@ def to_json(theta: ICNNParams) -> str:
 
 
 def from_json(text) -> ICNNParams:
-    doc = json.loads(text)
-    if doc.get("format") != "icnn-params" or doc.get("version") != 1:
-        raise ConfigError("unrecognised parameter document")
-    widths = tuple(doc["widths"])
-    K = len(widths)
-    arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}
-    return ICNNParams(
-        tuple(arrays[f"W{k}"] for k in range(K)),
-        tuple(arrays[f"U{k}"] for k in range(1, K)),
-        tuple(arrays[f"b{k}"] for k in range(K)),
-        arrays["w"],
-        arrays["u"],
-        float(arrays["c"]),
-        widths,
-    )
+    """Parse a to_json document; ConfigError if it is malformed."""
+    try:
+        doc = json.loads(text)
+        if doc.get("format") != "icnn-params" or doc.get("version") != 1:
+            raise ConfigError("unrecognised parameter document")
+        n = int(doc["n"])
+        widths = _validate_widths(n, doc["widths"])
+        arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}
+        theta = from_arrays(arrays, widths)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed parameter document: {exc!r}") from None
+    if [arr.shape for _, arr in theta.arrays()] != list(_shapes(n, widths).values()):
+        raise ConfigError("malformed parameter document: array shapes do not match n and widths")
+    return theta
 
 
 def save(theta: ICNNParams, path):

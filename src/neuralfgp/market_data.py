@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-WEIGHT_FLOOR = 1e-12
+MARKET_WEIGHT_FLOOR = 1e-12  # market weights are floored here, then renormalised
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class MarketWeightPath:
         w = np.asarray(self.weights, dtype=np.float64)
         if not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise DataError("weight rows must sum to 1 within 1e-12")
-        if np.any(w < WEIGHT_FLOOR):
-            raise DataError(f"weights must be >= {WEIGHT_FLOOR}")
+        if np.any(w < MARKET_WEIGHT_FLOOR):
+            raise DataError(f"weights must be >= {MARKET_WEIGHT_FLOOR}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -69,9 +69,6 @@ class MarketWeightPath:
 
     def __len__(self):
         return self.weights.shape[0]
-
-    def slice(self, start, stop):
-        return MarketWeightPath(self.dates[start:stop], self.weights[start:stop], self.tickers)
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ def gbm_simulate(cfg: GbmConfig) -> PricePath:
 def normalize_to_weights(path: PricePath) -> MarketWeightPath:
     """Divide each price row by its total; floor at 1e-12 and renormalise."""
     w = path.prices / path.prices.sum(axis=1, keepdims=True)
-    if np.any(w < WEIGHT_FLOOR):
-        w = np.maximum(w, WEIGHT_FLOOR)
+    if np.any(w < MARKET_WEIGHT_FLOOR):
+        w = np.maximum(w, MARKET_WEIGHT_FLOOR)
         w = w / w.sum(axis=1, keepdims=True)
     return MarketWeightPath(path.dates, w, path.tickers)
 
@@ -212,15 +209,30 @@ def write_prices_csv(path, price_path: PricePath):
 
 
 def fetch_csv(url, out_path, timeout=30):
-    """Download a wide-format price CSV from any HTTP endpoint.
+    """Download a wide-format price CSV from a URL (http, https or file).
 
     Opt-in network use; validates the payload parses before writing it out.
     """
-    import requests
+    import http.client  # imported here so the other commands skip their import cost
+    import urllib.parse
+    import urllib.request
 
-    resp = requests.get(url, timeout=timeout)
-    resp.raise_for_status()
-    parse_prices_csv(resp.text)
+    try:
+        scheme = urllib.parse.urlsplit(url).scheme
+        if scheme not in ("http", "https", "file"):
+            raise ValueError("the scheme must be http, https or file")
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            payload = resp.read()
+    except ValueError as exc:
+        raise ConfigError(f"bad URL {url!r}: {exc}") from None
+    # URLError, HTTPError and timeouts are OSErrors; a broken response raises HTTPException
+    except (OSError, http.client.HTTPException) as exc:
+        raise DataError(f"cannot fetch {url}: {exc}") from None
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{url}: not UTF-8 text") from None
+    parse_prices_csv(text)
     with open(out_path, "w", newline="") as fh:
-        fh.write(resp.text)
+        fh.write(text)
     return out_path

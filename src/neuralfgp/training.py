@@ -28,9 +28,6 @@ class TrainConfig:
     delta_pos: float = POS_MARGIN
     learning_rate: float = 1e-3
     epochs: int = 150
-    grad_clip_c: float = fgp.GRAD_CLIP
-    seed: int = 0
-    warm_start: bool = True
 
     def __post_init__(self):
         if min(self.lambda_l2, self.lambda_pos, self.delta_pos) < 0:
@@ -80,7 +77,7 @@ def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
     X = ad.constant(W[:-1])
     ratios = ad.constant(W[1:] / W[:-1])
 
-    pi, G = fgp.build_neural_pi(nodes, X, widths, clip_c=cfg.grad_clip_c)
+    pi, G = fgp.build_neural_pi(nodes, X, widths)
     step_returns = ad.sum_(pi * ratios, axis=1)
     log_v = ad.sum_(ad.log(step_returns))
     log_v_term = (-1.0 / T) * log_v

@@ -107,9 +107,9 @@ def test_criterion_5_icnn_convexity():
             theta = icnn.project_constraints(icnn.init(5, (width,) * depth, seed=depth * 10 + width))
             X = rng.dirichlet(np.ones(5), 2000)
             for x, y in zip(X[::2], X[1::2]):
-                fx, _ = icnn.forward(theta, x)
-                fy, _ = icnn.forward(theta, y)
-                fm, _ = icnn.forward(theta, 0.5 * (x + y))
+                fx = icnn.forward(theta, x)
+                fy = icnn.forward(theta, y)
+                fm = icnn.forward(theta, 0.5 * (x + y))
                 worst = max(worst, fm - 0.5 * (fx + fy))
     _report(5, "ICNN midpoint convexity", worst <= 1e-10, f"max violation {worst:.3e}")
 

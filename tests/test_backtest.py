@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -97,11 +99,6 @@ def test_summarize_hand_values():
     assert rows["A"] == pytest.approx(1.0, abs=1e-14)
     assert rows["B"] == 0.0
     assert rows["C"] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_cumulative_chains_across_windows():
-    report = make_report({"A": [1.1, 0.5, 2.0]})
-    np.testing.assert_allclose(report.cumulative("A"), [1.1, 0.55, 1.1], rtol=1e-14)
 
 
 # --- covariation estimate -------------------------------------------------------
@@ -208,8 +205,8 @@ def test_walk_forward_deterministic():
 
 def test_walk_forward_parallel_matches_serial():
     path = weights_from_gbm(n_assets=2, n_days=70, seed=9)
-    cfg1 = fast_walk_config(train=training.TrainConfig(epochs=2, warm_start=False), jobs=1)
-    cfg2 = fast_walk_config(train=training.TrainConfig(epochs=2, warm_start=False), jobs=2)
+    cfg1 = fast_walk_config(warm_start=False, jobs=1)
+    cfg2 = fast_walk_config(warm_start=False, jobs=2)
     a = backtest.walk_forward(path, cfg1)
     b = backtest.walk_forward(path, cfg2)
     for label in a.labels:
@@ -230,6 +227,9 @@ def test_csv_outputs_round_trip(tmp_path):
     lines = windows.read_text().strip().splitlines()
     assert lines[0] == "window,strategy,V_Tk,log_V_Tk"
     assert len(lines) == 1 + report.n_windows * len(report.labels)
+    for k, label, v, log_v in csv.reader(lines[1:]):
+        assert float(v) == report.terminal[label][int(k) - 1]
+        assert float(log_v) == np.log(float(v))
 
     rows = backtest.read_summary_csv(summary)
     assert [r[0] for r in rows] == list(report.labels)

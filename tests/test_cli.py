@@ -132,6 +132,11 @@ def test_backtest_jobs_flag_is_deterministic(tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
+def test_backtest_jobs_needs_no_warm_start(tmp_path, capsys):
+    assert run(backtest_args(tmp_path / "run") + ["--jobs", "2"]) == 2
+    assert "--no-warm-start" in capsys.readouterr().err
+
+
 def test_backtest_svg_flag(tmp_path):
     out = tmp_path / "run"
     run(backtest_args(out) + ["--svg"])
@@ -164,3 +169,40 @@ def test_report_round_trip(tmp_path, capsys):
 def test_report_missing_dir_is_data_error(tmp_path, capsys):
     assert run(["report", str(tmp_path / "nothing")]) == 3
     assert "summary.csv" in capsys.readouterr().err
+
+
+# --- fetch -------------------------------------------------------------------------
+
+
+def test_fetch_file_url(tmp_path, capsys):
+    src = tmp_path / "src.csv"
+    run(["simulate", "--n", "3", "--days", "20", "--seed", "2", "--out", str(src)])
+    out = tmp_path / "fetched.csv"
+    assert run(["fetch", "--url", src.as_uri(), "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert "fetched" in capsys.readouterr().out
+
+
+def test_fetch_unreachable_url_is_data_error(tmp_path, capsys):
+    missing = (tmp_path / "missing.csv").as_uri()
+    assert run(["fetch", "--url", missing, "--out", str(tmp_path / "out.csv")]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_fetch_bad_url_is_config_error(tmp_path, capsys):
+    for url in ("not-a-url", "foo://x"):
+        assert run(["fetch", "--url", url, "--out", str(tmp_path / "out.csv")]) == 2
+        assert "bad URL" in capsys.readouterr().err
+
+
+def test_fetch_broken_response_is_data_error(tmp_path, capsys, monkeypatch):
+    import http.client
+    import urllib.request
+
+    def broken(url, timeout):
+        raise http.client.IncompleteRead(b"")
+
+    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    assert run(["fetch", "--url", "http://127.0.0.1:9/p.csv", "--out", str(tmp_path / "out.csv")]) == 3
+    assert "data error" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn
-from neuralfgp.errors import ConfigError, NumericError
+from neuralfgp.errors import ConfigError
 from test_icnn import zero_params
 
 
@@ -41,30 +42,23 @@ def test_raw_map_always_sums_to_one():
         assert abs(fgp.raw_fgp_weights(g, x).sum() - 1.0) < 1e-10
 
 
-# --- simplex projection -----------------------------------------------------
+# --- weight floor -----------------------------------------------------------
 
 
-def test_projection_clips_and_renormalises():
-    pi = fgp.project_to_simplex(np.array([1.5, -0.5])).pi
-    total = 1.5 + 1e-6
-    np.testing.assert_allclose(pi, [1.5 / total, 1e-6 / total], rtol=1e-12)
-
-
-def test_projection_fixed_point():
-    pi = fgp.project_to_simplex(np.array([0.3, 0.7])).pi
-    np.testing.assert_allclose(pi, [0.3, 0.7], atol=1e-15)
-
-
-def test_projection_all_nonpositive_returns_uniform():
-    pi = fgp.project_to_simplex(np.array([-1.0, -2.0])).pi
-    np.testing.assert_array_equal(pi, [0.5, 0.5])
-
-
-def test_projection_rejects_non_finite():
-    with pytest.raises(NumericError):
-        fgp.project_to_simplex(np.array([np.nan, 1.0]))
-    with pytest.raises(NumericError):
-        fgp.project_to_simplex(np.array([np.inf, 1.0]))
+def test_neural_map_floor_binds_near_vertex():
+    # at x_i ~ 1e-12 the raw weight is at most (2 * GRAD_CLIP + 1) * x_i, far
+    # below the floor; the floored entry over a row total of at most
+    # 2 * GRAD_CLIP + 1 + n * floor bounds the renormalised weight from below
+    n = 3
+    X = np.array([[1e-12, 1e-12, 1.0 - 2e-12], [1e-12, 0.5, 0.5 - 1e-12], [0.3, 1e-12, 0.7 - 1e-12]])
+    near_vertex = X < 1e-11
+    floor = fgp.PORTFOLIO_WEIGHT_FLOOR
+    for seed in range(4):
+        theta = icnn.init(n, (8, 8), seed=seed)
+        pi, _ = fgp.build_neural_pi(icnn.params_to_nodes(theta), ad.constant(X), theta.widths)
+        assert pi.value.min() >= 0
+        np.testing.assert_allclose(pi.value.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert pi.value[near_vertex].min() >= floor / (2 * fgp.GRAD_CLIP + 1 + n * floor)
 
 
 # --- classical generators ---------------------------------------------------
@@ -144,7 +138,7 @@ def test_neural_weights_contract():
         x = random_simplex(rng, 4)
         pi = fgp.neural_weights(theta, x).pi
         assert abs(pi.sum() - 1.0) < 1e-10
-        assert pi.min() >= fgp.WEIGHT_FLOOR / (1.0 + 4 * fgp.WEIGHT_FLOOR)
+        assert pi.min() >= fgp.PORTFOLIO_WEIGHT_FLOOR / (1.0 + 4 * fgp.PORTFOLIO_WEIGHT_FLOOR)
 
 
 def test_neural_weights_match_independent_reimplementation():
@@ -163,10 +157,24 @@ def test_neural_weights_match_independent_reimplementation():
         G = max(-f, icnn.G_FLOOR)
         g = np.clip(-grad_f / G, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
         pi_raw = (g + 1.0 - x @ g) * x
-        pi_ref = np.maximum(pi_raw, fgp.WEIGHT_FLOOR)
+        pi_ref = np.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)
         pi_ref = pi_ref / pi_ref.sum()
 
         assert np.abs(got - pi_ref).max() < 1e-10
+
+
+def test_neural_hessian_matches_one_layer_closed_form():
+    # f = w . softplus(p) + u . x + c with p = W0 x + b0, so the Hessian of
+    # G = -f is -W0^T diag(w * s(p) (1 - s(p))) W0, s the logistic sigmoid
+    rng = np.random.default_rng(31)
+    theta = icnn.init(4, (6,), seed=12)
+    theta = icnn.ICNNParams(theta.W, theta.U, (rng.normal(size=6),), theta.w, theta.u, theta.c, theta.widths)
+    gen = fgp.Generator("neural", theta=theta)
+    for x in random_simplex(rng, 4, 5):
+        s = 1.0 / (1.0 + np.exp(-(theta.W[0] @ x + theta.b[0])))
+        ref = -theta.W[0].T @ np.diag(theta.w * s * (1.0 - s)) @ theta.W[0]
+        H = fgp.generator_hessian(gen, x)
+        assert np.abs(H - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
 def test_weights_dispatch():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from neuralfgp import icnn
-from neuralfgp.errors import DimensionError
+from neuralfgp.errors import ConfigError, DimensionError
 
 
 def make_params(W, U, b, w, u, c):
@@ -61,13 +63,13 @@ def test_init_deterministic():
 def test_forward_constant_network():
     theta = zero_params(c=5.0)
     for x in ([0.5, 0.5], [0.9, 0.1]):
-        f, _ = icnn.forward(theta, np.array(x))
+        f = icnn.forward(theta, np.array(x))
         assert f == 5.0
 
 
 def test_forward_linear_part_only():
     theta = zero_params(u=np.array([1.0, 2.0]))
-    f, _ = icnn.forward(theta, np.array([0.5, 0.5]))
+    f = icnn.forward(theta, np.array([0.5, 0.5]))
     assert f == pytest.approx(1.5, abs=1e-15)
 
 
@@ -76,14 +78,23 @@ def test_forward_matches_straight_line_reimplementation():
     theta = icnn.init(2, (3, 4), seed=33)
     for _ in range(20):
         x = random_simplex(rng, 2)
-        f, cache = icnn.forward(theta, x)
+        f = icnn.forward(theta, x)
         # independent re-evaluation, spelled out step by step
         sp = lambda t: np.logaddexp(0.0, t)
         z1 = sp(theta.W[0] @ x + theta.b[0])
         z2 = sp(theta.W[1] @ z1 + theta.U[0] @ x + theta.b[1])
         f_ref = theta.w @ z2 + theta.u @ x + theta.c
         assert abs(f - f_ref) < 1e-12
-        np.testing.assert_allclose(cache.z[1], z2, atol=1e-14)
+
+
+def test_forward_batch_rows_match_single_points():
+    rng = np.random.default_rng(22)
+    theta = icnn.init(4, (8, 8), seed=5)
+    X = random_simplex(rng, 4, 30)
+    F = icnn.forward(theta, X)
+    assert F.shape == (30,)
+    for i, x in enumerate(X):
+        assert abs(F[i] - icnn.forward(theta, x)) < 1e-13
 
 
 def test_forward_dimension_mismatch():
@@ -108,9 +119,9 @@ def test_midpoint_convexity_random_networks():
         theta = icnn.project_constraints(icnn.init(4, (8, 8), seed=seed))
         for _ in range(200):
             x, y = random_simplex(rng, 4, 2)
-            fx, _ = icnn.forward(theta, x)
-            fy, _ = icnn.forward(theta, y)
-            fm, _ = icnn.forward(theta, 0.5 * (x + y))
+            fx = icnn.forward(theta, x)
+            fy = icnn.forward(theta, y)
+            fm = icnn.forward(theta, 0.5 * (x + y))
             assert fm <= 0.5 * fx + 0.5 * fy + 1e-10
 
 
@@ -203,3 +214,18 @@ def test_json_round_trip_bit_exact(tmp_path):
     assert back.widths == theta.widths
     for (name, a), (_, b) in zip(theta.arrays(), back.arrays()):
         assert np.array_equal(a, b), name
+
+
+def test_from_json_malformed_document_is_config_error():
+    good = json.loads(icnn.to_json(icnn.init(3, (4, 4), seed=1)))
+    no_arrays = {k: v for k, v in good.items() if k != "arrays"}
+    missing_w = {**good, "arrays": {k: v for k, v in good["arrays"].items() if k != "w"}}
+    bad_base64 = {**good, "arrays": {**good["arrays"], "u": {"shape": [3], "data": "@@@"}}}
+    bad_shape = {**good, "arrays": {**good["arrays"], "u": {**good["arrays"]["u"], "shape": [1, 3]}}}
+    wrong_n = {**good, "n": 4}
+    for doc in (no_arrays, missing_w, bad_base64, bad_shape, wrong_n):
+        with pytest.raises(ConfigError):
+            icnn.from_json(json.dumps(doc))
+    for text in ("not json", "[]", '{"format": "icnn-params", "version": 2}'):
+        with pytest.raises(ConfigError):
+            icnn.from_json(text)

@@ -58,7 +58,7 @@ def test_normalize_rows_sum_to_one_and_floored():
     path = md.gbm_simulate(md.GbmConfig(n_assets=5, n_days=300, seed=9))
     w = md.normalize_to_weights(path)
     np.testing.assert_allclose(w.weights.sum(axis=1), 1.0, atol=1e-12)
-    assert w.weights.min() >= md.WEIGHT_FLOOR
+    assert w.weights.min() >= md.MARKET_WEIGHT_FLOOR
 
 
 def test_normalize_scale_invariance():
