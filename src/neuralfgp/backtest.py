@@ -41,19 +41,16 @@ class RelativeWealthPath:
 
 
 def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
-    """Exact product recursion; weights are computed from the previous row only."""
+    """Exact product recursion; weights_fn maps the rows 0..T-1 in one call, so step s sees row s - 1 only."""
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise DataError("relative_wealth needs at least 2 rows")
-    v = np.empty(W.shape[0])
-    v[0] = 1.0
-    for s in range(1, W.shape[0]):
-        pi = weights_fn(W[s - 1]).pi
-        r = float(pi @ (W[s] / W[s - 1]))
-        if not np.isfinite(r) or r <= 0:
-            raise DataError(f"non-positive or non-finite relative return at step {s}")
-        v[s] = v[s - 1] * r
-    return RelativeWealthPath(v)
+    # row-wise dot as a stack of (1, n) @ (n, 1) products: the same dot per row as pi @ ratio
+    r = (weights_fn(W[:-1]).pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
+    bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
+    if bad.size:
+        raise DataError(f"non-positive or non-finite relative return at step {bad[0] + 1}")
+    return RelativeWealthPath(np.cumprod(np.concatenate([[1.0], r])))
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class WalkForwardConfig:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
 
     def strategies(self):
-        """Benchmark labels in report order: neural first, then classical."""
+        """The classical benchmark generators, in report order after the FGP."""
         gens = [fgp.Generator("equal"), fgp.Generator("constant")]
         gens += [fgp.Generator("diversity", p=p) for p in self.p_vals]
         return gens
@@ -120,11 +117,9 @@ def _run_window(args):
     else:
         theta0 = icnn.from_json(theta0_json)
     theta, _ = train_window(theta0, train_slice, cfg.train)
-
-    terminals = {"FGP": relative_wealth(lambda x: fgp.neural_weights(theta, x), test_slice).terminal}
-    for gen in cfg.strategies():
-        v = relative_wealth(lambda x, g=gen: fgp.classical_weights(g, x), test_slice)
-        terminals[gen.label] = v.terminal
+    terminals = {}
+    for gen in [fgp.Generator("neural", theta=theta)] + cfg.strategies():
+        terminals[gen.label] = relative_wealth(lambda x, g=gen: fgp.weights(g, x), test_slice).terminal
     return terminals, icnn.to_json(theta)
 
 
@@ -154,7 +149,7 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
 
-    labels = tuple(["FGP"] + [g.label for g in cfg.strategies()])
+    labels = tuple(results[0])
     terminal = {label: np.array([terminals[label] for terminals in results]) for label in labels}
     return WalkForwardReport(labels, terminal, tuple(boundaries))
 
@@ -190,23 +185,19 @@ class MasterDecomposition:
 def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     """Discrete check of the pathwise decomposition for one generator.
 
-    The drift increment at step s uses the Hessian at the left endpoint and
-    the realized covariation increment of that step. The constant generator is
-    exact by the simplex identity: V is identically 1 and both terms vanish.
+    The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
+    left endpoint, d_tau the realized covariation increment of the step. The
+    constant generator is exact: V is identically 1 and both terms vanish.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
     log_v = float(np.log(relative_wealth(lambda x: fgp.weights(gen, x), W).terminal))
-    log_g_ratio = float(np.log(fgp.generator_value(gen, W[-1]) / fgp.generator_value(gen, W[0])))
+    G = fgp.generator_value(gen, W)
+    log_g_ratio = float(np.log(G[-1] / G[0]))
 
-    d_log = np.diff(np.log(W), axis=0)
-    drift = 0.0
-    for s in range(d_log.shape[0]):
-        x = W[s]
-        H = fgp.generator_hessian(gen, x)
-        d_tau = np.outer(d_log[s], d_log[s])
-        drift += -0.5 / fgp.generator_value(gen, x) * float(((H * np.outer(x, x)) * d_tau).sum())
+    x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W[:-1]), x_dlog, x_dlog))
     residual = log_v - log_g_ratio - drift
     if not np.isfinite(residual):
         raise NumericError("master decomposition produced a non-finite residual")
@@ -242,7 +233,10 @@ def read_summary_csv(path):
         header = next(reader)
         if header != ["strategy", "avg_log_relative_return", "K"]:
             raise DataError(f"{path}: unexpected summary header {header}")
-        return [(row[0], float(row[1]), int(row[2])) for row in reader]
+        try:
+            return [(label, float(avg), int(k)) for label, avg, k in reader]
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed summary row: {exc}") from None
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")

@@ -24,9 +24,6 @@ EXIT_NUMERIC = 4
 DATA_SEED_OFFSET = 0
 TRAIN_SEED_OFFSET = 1000
 
-# tickers used in the reference real-data runs; real data must arrive as CSV
-DEFAULT_TICKERS = ("AAPL", "MSFT", "GOOG", "AMZN", "META")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,19 +86,23 @@ def parse_config_file(path):
     """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
     known = {f.name for f in fields(RunConfig)}
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key == "lambda":
-                key = "lam"
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-text file
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key == "lambda":
+            key = "lam"
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw)
     return values
 
 

@@ -1,6 +1,9 @@
 """Portfolio weight maps: the generic functionally-generated rule, the
 neural map, and closed-form classical generators with their analytic
 gradients and Hessians.
+
+Every map takes a point of shape (n,) or a batch of shape (m, n) and works
+row by row on the last axis, so a batch row never reads another row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ FD_STEP = 1e-4  # central-difference step of the neural Hessian
 
 @dataclass(frozen=True)
 class PortfolioWeights:
-    """Long-only weights summing to 1."""
+    """Long-only weights summing to 1: one row (n,) or a batch of rows (m, n)."""
 
     pi: np.ndarray
 
@@ -28,8 +31,10 @@ class PortfolioWeights:
         pi = np.asarray(self.pi, dtype=np.float64)
         if not np.isfinite(pi).all():
             raise NumericError("portfolio weights must be finite")
-        if abs(pi.sum() - 1.0) > 1e-10:
-            raise NumericError(f"portfolio weights sum to {pi.sum()!r}, not 1")
+        sums = np.atleast_1d(pi.sum(axis=-1))
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+        if bad.size:
+            raise NumericError(f"portfolio weights sum to {sums[bad[0]]!r}, not 1")
         if np.any(pi < 0):
             raise NumericError("portfolio weights must be nonnegative")
         object.__setattr__(self, "pi", pi)
@@ -70,90 +75,87 @@ def raw_fgp_weights(grad_log_g, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"raw_fgp_weights: gradient shape {g.shape} vs point shape {x.shape}")
-    return (g + 1.0 - x @ g) * x
+    return (g + 1.0 - np.sum(x * g, axis=-1, keepdims=True)) * x
 
 
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
     """Closed-form weights for the non-neural generators."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
     if gen.kind == "constant":
-        return PortfolioWeights(x / x.sum())
-    if gen.kind == "equal":
-        return PortfolioWeights(np.full(n, 1.0 / n))
-    if gen.kind == "diversity":
-        xp = x**gen.p
-        return PortfolioWeights(xp / xp.sum())
-    if gen.kind == "entropy":
-        e = -x * np.log(x)
-        return PortfolioWeights(e / e.sum())
-    raise ConfigError("classical_weights does not handle the neural generator")
+        w = x
+    elif gen.kind == "equal":
+        w = np.ones_like(x)
+    elif gen.kind == "diversity":
+        w = x**gen.p
+    elif gen.kind == "entropy":
+        w = -x * np.log(x)
+    else:
+        raise ConfigError("classical_weights does not handle the neural generator")
+    return PortfolioWeights(w / w.sum(axis=-1, keepdims=True))
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
     """grad_x log G for the closed-form generators (used for equivalence tests)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
     if gen.kind == "constant":
-        return np.zeros(n)
+        return np.zeros_like(x)
     if gen.kind == "equal":
-        return 1.0 / (n * x)
+        return 1.0 / (x.shape[-1] * x)
     if gen.kind == "diversity":
         # G = (sum x^p)^(1/p): the generator whose weight map is x^p / sum x^p
-        return x ** (gen.p - 1.0) / np.sum(x**gen.p)
+        return x ** (gen.p - 1.0) / np.sum(x**gen.p, axis=-1, keepdims=True)
     if gen.kind == "entropy":
-        return (-np.log(x) - 1.0) / generator_value(gen, x)
+        return (-np.log(x) - 1.0) / np.expand_dims(generator_value(gen, x), -1)
     raise ConfigError("no analytic gradient for the neural generator")
 
 
-def generator_value(gen: Generator, x) -> float:
-    """G(x) for a generator (neural value is clamped at the log floor)."""
+def generator_value(gen: Generator, x):
+    """G(x) for a generator (neural value is clamped at the log floor): a float
+    for a point (n,), an (m,) array for a batch (m, n)."""
     x = np.asarray(x, dtype=np.float64)
     if gen.kind == "constant":
-        return 1.0
-    if gen.kind == "equal":
-        return float(np.prod(x ** (1.0 / x.size)))
-    if gen.kind == "diversity":
-        return float(np.sum(x**gen.p) ** (1.0 / gen.p))
-    if gen.kind == "entropy":
-        return float(-np.sum(x * np.log(x)))
-    return max(icnn.generating_function(gen.theta, x), icnn.G_FLOOR)
+        G = np.ones(x.shape[:-1])
+    elif gen.kind == "equal":
+        G = np.prod(x ** (1.0 / x.shape[-1]), axis=-1)
+    elif gen.kind == "diversity":
+        G = np.sum(x**gen.p, axis=-1) ** (1.0 / gen.p)
+    elif gen.kind == "entropy":
+        G = -np.sum(x * np.log(x), axis=-1)
+    else:
+        G = np.maximum(icnn.generating_function(gen.theta, x), icnn.G_FLOOR)
+    return float(G) if x.ndim == 1 else G
 
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
-    """Hessian of G. Analytic for classical generators; central finite
-    differences for the neural one (diagnostics only)."""
+    """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
+    generators; central finite differences for the neural one (diagnostics only)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    n = x.shape[-1]
+    diag = np.eye(n, dtype=bool)
+    outer = x[..., :, None] * x[..., None, :]
     if gen.kind == "constant":
-        return np.zeros((n, n))
+        return np.zeros_like(outer)
     if gen.kind == "equal":
-        G = generator_value(gen, x)
-        H = G / (n * n * np.outer(x, x))
-        np.fill_diagonal(H, G * (1.0 - n) / (n * n * x * x))
-        return H
+        G = np.expand_dims(generator_value(gen, x), -1)
+        off = G[..., None] / (n * n * outer)
+        return np.where(diag, (G * (1.0 - n) / (n * n * x * x))[..., None, :], off)
     if gen.kind == "diversity":
         p = gen.p
-        S = float(np.sum(x**p))
+        S = np.sum(x**p, axis=-1, keepdims=True)
         xp1 = x ** (p - 1.0)
-        H = (1.0 - p) * S ** (1.0 / p - 2.0) * np.outer(xp1, xp1)
-        H[np.diag_indices(n)] += (p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0)
-        return H
+        H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
+        return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
     if gen.kind == "entropy":
-        return np.diag(-1.0 / x)
-    return _fd_hessian(gen.theta, x)
-
-
-def _fd_hessian(theta, x):
-    """Central differences of G over the pairs i <= j, all 2n(n+1) stencil points in one batch."""
-    n = x.size
+        return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
+    # central differences of G over the pairs i <= j, all 2n(n+1) stencil points of a row in one
+    # batch; one batch per row, because a whole slice's stencils in one batch raise peak memory
     i, j = np.triu_indices(n)
     E = FD_STEP * np.eye(n)
-    ei, ej = E[i], E[j]
-    stencil = x + np.concatenate([ei + ej, ei - ej, ej - ei, -ei - ej])
-    g = icnn.generating_function(theta, stencil).reshape(4, -1)
-    H = np.empty((n, n))
-    H[i, j] = H[j, i] = (g[0] - g[1] - g[2] + g[3]) / (4.0 * FD_STEP * FD_STEP)
+    offsets = np.concatenate([E[i] + E[j], E[i] - E[j], E[j] - E[i], -E[i] - E[j]])
+    H = np.empty(outer.shape)
+    for row, h in zip(x.reshape(-1, n), H.reshape(-1, n, n)):
+        g = icnn.generating_function(gen.theta, row + offsets).reshape(4, -1)
+        h[i, j] = h[j, i] = (g[0] - g[1] - g[2] + g[3]) / (4.0 * FD_STEP * FD_STEP)
     return H
 
 
@@ -183,13 +185,12 @@ def build_neural_pi(nodes, X, widths):
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
-    """Evaluate the neural weight map at one simplex point."""
+    """Evaluate the neural weight map at a simplex point (n,) or at each row of a batch (m, n)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (theta.n,):
-        raise DimensionError(f"neural_weights: expected shape ({theta.n},), got {x.shape}")
-    nodes = icnn.params_to_nodes(theta)
-    pi, _ = build_neural_pi(nodes, ad.constant(x[None, :]), theta.widths)
-    return PortfolioWeights(pi.value[0].copy())
+    if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
+        raise DimensionError(f"neural_weights: expected shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
+    pi, _ = build_neural_pi(icnn.params_to_nodes(theta), ad.constant(np.atleast_2d(x)), theta.widths)
+    return PortfolioWeights(pi.value.reshape(x.shape))
 
 
 def weights(gen: Generator, x) -> PortfolioWeights:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,6 @@ class GbmConfig:
     drift_range: tuple = (-0.05, 0.15)
     vol_range: tuple = (0.20, 0.80)
     seed: int = 0
-    initial_price: float = 1.0
 
     def __post_init__(self):
         if self.n_assets < 2:
@@ -92,8 +92,6 @@ class GbmConfig:
             raise ConfigError("vol_range low bound must be positive")
         if self.drift_range[0] > self.drift_range[1] or self.vol_range[0] > self.vol_range[1]:
             raise ConfigError("drift/vol ranges must be ordered (low, high)")
-        if self.initial_price <= 0:
-            raise ConfigError("initial_price must be positive")
 
 
 def gbm_simulate(cfg: GbmConfig) -> PricePath:
@@ -107,9 +105,7 @@ def gbm_simulate(cfg: GbmConfig) -> PricePath:
     vols = rng.uniform(cfg.vol_range[0], cfg.vol_range[1], cfg.n_assets)
     z = rng.standard_normal((cfg.n_days - 1, cfg.n_assets))
     increments = (drifts - 0.5 * vols**2) * cfg.dt + vols * np.sqrt(cfg.dt) * z
-    log_prices = np.vstack(
-        [np.full(cfg.n_assets, np.log(cfg.initial_price)), increments]
-    ).cumsum(axis=0)
+    log_prices = np.vstack([np.zeros(cfg.n_assets), increments]).cumsum(axis=0)  # prices start at 1
     tickers = [f"A{i}" for i in range(cfg.n_assets)]
     return PricePath(list(range(cfg.n_days)), np.exp(log_prices), tickers)
 
@@ -129,8 +125,11 @@ def load_prices_csv(path, tickers=None) -> PricePath:
     Missing cells are forward-filled from the previous row; leading rows that
     still contain gaps are dropped.
     """
-    with open(path, newline="") as fh:
-        return _parse_prices(fh, tickers, str(path))
+    try:
+        with open(path, newline="") as fh:
+            return _parse_prices(fh, tickers, str(path))
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-text file
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def parse_prices_csv(text, tickers=None) -> PricePath:
@@ -168,9 +167,12 @@ def _parse_prices(fh, tickers, name):
                 parsed.append(np.nan)
                 continue
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(f"{name}: unparsable cell at row {lineno}, column {t!r}: {cell!r}") from None
+            if not math.isfinite(value):  # only an empty cell marks a missing value
+                raise DataError(f"{name}: non-finite cell at row {lineno}, column {t!r}: {cell!r}")
+            parsed.append(value)
         date = row[0].strip()
         # synthetic CSVs carry integer day indices; restore them so ordering is numeric
         dates.append(int(date) if date.lstrip("-").isdigit() else date)
@@ -179,6 +181,8 @@ def _parse_prices(fh, tickers, name):
     prices = np.array(rows, dtype=np.float64)
     if prices.size == 0:
         raise DataError(f"{name}: no data rows")
+    if len({type(d) for d in dates}) > 1:
+        raise DataError(f"{name}: dates mix integer day indices and date strings")
 
     # forward-fill, then drop leading rows that still have gaps
     for i in range(1, prices.shape[0]):

@@ -19,19 +19,20 @@ from .errors import ConfigError
 
 POS_MARGIN = 0.1  # hinge margin delta keeping G above it
 POS_WEIGHT = 1.0  # hinge coefficient
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lambda_l2: float = 0.3
-    lambda_pos: float = POS_WEIGHT
-    delta_pos: float = POS_MARGIN
     learning_rate: float = 1e-3
     epochs: int = 150
 
     def __post_init__(self):
-        if min(self.lambda_l2, self.lambda_pos, self.delta_pos) < 0:
-            raise ConfigError("penalty coefficients must be >= 0")
+        if self.lambda_l2 < 0:
+            raise ConfigError("lambda_l2 must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1:
@@ -43,9 +44,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, theta: icnn.ICNNParams):
@@ -82,7 +80,7 @@ def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
     log_v = ad.sum_(ad.log(step_returns))
     log_v_term = (-1.0 / T) * log_v
     penalty = cfg.lambda_l2 * ad.mean_(ad.l2norm(pi, axis=1))
-    hinge = cfg.lambda_pos * ad.mean_(ad.square(ad.maximum(cfg.delta_pos - G, 0.0)))
+    hinge = POS_WEIGHT * ad.mean_(ad.square(ad.maximum(POS_MARGIN - G, 0.0)))
     total = log_v_term + penalty + hinge
     parts = LossParts(total.item(), log_v_term.item(), penalty.item(), hinge.item())
     return total, parts
@@ -111,7 +109,7 @@ def adam_step(theta: icnn.ICNNParams, grads, state: AdamState, cfg: TrainConfig)
     """Standard Adam with bias correction, then the convexity projection."""
     state.step += 1
     t = state.step
-    lr, b1, b2 = cfg.learning_rate, state.beta1, state.beta2
+    lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
     updated = {}
     for name, arr in theta.arrays():
         g = grads[name]
@@ -119,7 +117,7 @@ def adam_step(theta: icnn.ICNNParams, grads, state: AdamState, cfg: TrainConfig)
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1**t)
         v_hat = state.v[name] / (1.0 - b2**t)
-        updated[name] = arr - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        updated[name] = arr - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     new_theta = icnn.from_arrays(updated, theta.widths)
     return icnn.project_constraints(new_theta), state
 

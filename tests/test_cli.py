@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ from neuralfgp import cli, icnn, market_data as md
 from neuralfgp.backtest import read_summary_csv
 
 FAST = ["--train-days", "20", "--test-days", "10", "--widths", "3", "--epochs", "2"]
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -169,6 +175,37 @@ def test_report_round_trip(tmp_path, capsys):
 def test_report_missing_dir_is_data_error(tmp_path, capsys):
     assert run(["report", str(tmp_path / "nothing")]) == 3
     assert "summary.csv" in capsys.readouterr().err
+
+
+# --- bad input ends in an exit code and one line, never a traceback -------------
+
+
+@pytest.mark.parametrize(
+    "files,argv,code",
+    [
+        ({}, ["train", "--data", "{tmp}/missing.csv"], 3),
+        ({}, ["simulate", "--config", "{tmp}/missing.cfg"], 2),
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\nFGP,abc,3\n"}, ["report", "{tmp}/run"], 3),
+        ({"mixed.csv": "date,AAA,BBB\n0,10,20\n2024-01-03,11,21\n"}, ["train", "--data", "{tmp}/mixed.csv"], 3),
+        ({"latin1.csv": "date,AAA,BBB\n2024-01-02,10,20\n2024-01-03,11,\u00e9\n"}, ["train", "--data", "{tmp}/latin1.csv"], 3),
+        ({"latin1.cfg": "n = 3  # \u00e9\n"}, ["simulate", "--config", "{tmp}/latin1.cfg"], 2),
+    ],
+    ids=["missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config"],
+)
+def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "neuralfgp.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 # --- fetch -------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn
-from neuralfgp.errors import ConfigError
+from neuralfgp.errors import ConfigError, NumericError
 from test_icnn import zero_params
 
 
@@ -182,6 +182,41 @@ def test_weights_dispatch():
     assert np.allclose(fgp.weights(fgp.Generator("equal"), x).pi, [0.5, 0.5])
     theta = zero_params(n=2, widths=(3,), c=-2.0)
     assert np.allclose(fgp.weights(fgp.Generator("neural", theta=theta), x).pi, x)
+
+
+# --- point-or-batch convention ---------------------------------------------
+
+
+BATCH_GENERATORS = [
+    fgp.Generator("constant"),
+    fgp.Generator("equal"),
+    fgp.Generator("entropy"),
+    fgp.Generator("diversity", p=0.3),
+    fgp.Generator("diversity", p=0.5),
+    fgp.Generator("diversity", p=0.8),
+    fgp.Generator("neural", theta=icnn.init(5, (64, 64), seed=3)),
+]
+
+
+@pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.label)
+def test_batch_matches_stacked_points(gen):
+    # each batch row must depend on its own point only: no row mixing, so no look-ahead
+    X = random_simplex(np.random.default_rng(7), 5, 20)
+    maps = [
+        lambda x: fgp.weights(gen, x).pi,
+        lambda x: fgp.generator_value(gen, x),
+        lambda x: fgp.generator_hessian(gen, x),
+    ]
+    for f in maps:
+        np.testing.assert_allclose(f(X), np.array([f(x) for x in X]), rtol=1e-14, atol=0)
+
+
+def test_portfolio_weights_checks_every_row():
+    pi = np.full((4, 5), 0.2)
+    fgp.PortfolioWeights(pi)
+    pi[2, 0] += 1e-9
+    with pytest.raises(NumericError, match="sum to"):
+        fgp.PortfolioWeights(pi)
 
 
 def test_generator_labels():

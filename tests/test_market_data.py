@@ -116,6 +116,13 @@ def test_csv_zero_price_names_cell():
         md.parse_prices_csv(text)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_csv_non_finite_cell_names_cell(cell):
+    text = f"date,AAA,BBB\n2024-01-02,10,20\n2024-01-03,11,{cell}\n"
+    with pytest.raises(DataError, match=f"non-finite cell at row 3, column 'BBB': '{cell}'"):
+        md.parse_prices_csv(text)
+
+
 def test_csv_unknown_ticker():
     with pytest.raises(DataError, match="ZZZ"):
         md.parse_prices_csv(CSV_CLEAN, tickers=["AAA", "ZZZ"])

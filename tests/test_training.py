@@ -25,7 +25,7 @@ def test_market_numeraire_loss_is_zero():
     rng = np.random.default_rng(0)
     window = random_window(rng, 3, 8)
     theta = zero_params(n=3, widths=(4,), c=-5.0)
-    cfg = training.TrainConfig(lambda_l2=0.0, lambda_pos=0.0)
+    cfg = training.TrainConfig(lambda_l2=0.0)
     parts = training.loss(theta, window, cfg)
     assert abs(parts.total) < 1e-12
     assert abs(parts.log_v_term) < 1e-12
@@ -41,7 +41,7 @@ def test_loss_matches_hand_computed_tiny_instance():
     # n=2, T=2, linear-only network: every quantity is computable by hand
     theta = zero_params(n=2, widths=(2,), u=np.array([1.0, -1.0]), c=-10.0)
     window = np.array([[0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
-    cfg = training.TrainConfig(lambda_l2=0.01, lambda_pos=1.0, delta_pos=0.1)
+    cfg = training.TrainConfig(lambda_l2=0.01)
     parts = training.loss(theta, window, cfg)
 
     # independent arithmetic: G = 10 - u.x, grad log G = -u / G
