@@ -161,17 +161,6 @@ def summarize(report: WalkForwardReport):
     ]
 
 
-def estimate_tau(weights_slice) -> np.ndarray:
-    """Realized quadratic covariation of log market weights over a slice."""
-    W = np.asarray(weights_slice, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise DataError("estimate_tau needs at least 2 rows")
-    if not np.all(W > 0):
-        raise DataError("estimate_tau needs strictly positive weights")
-    d = np.diff(np.log(W), axis=0)
-    return d.T @ d
-
-
 @dataclass(frozen=True)
 class MasterDecomposition:
     """Pathwise split of log relative wealth into the G ratio plus drift."""
@@ -228,15 +217,17 @@ def write_summary_csv(path, report: WalkForwardReport):
 
 
 def read_summary_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
         if header != ["strategy", "avg_log_relative_return", "K"]:
             raise DataError(f"{path}: unexpected summary header {header}")
-        try:
-            return [(label, float(avg), int(k)) for label, avg, k in reader]
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed summary row: {exc}") from None
+        rows = [(label, float(avg), int(k)) for label, avg, k in body]
+    except ValueError as exc:  # an empty file, a non-numeric cell, a short row or non-UTF-8 text
+        raise DataError(f"{path}: malformed summary: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no strategy rows")
+    return rows
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")

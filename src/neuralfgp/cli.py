@@ -172,13 +172,14 @@ def cmd_fetch(args):
 
 def cmd_train(args):
     cfg = build_run_config(args)
+    train_cfg = _train_config(cfg)
     weights = _load_weights(cfg)
     needed = cfg.train_days + 1
     if len(weights) < needed:
         raise DataError(f"training needs {needed} rows, data has {len(weights)}")
     window = weights.weights[:needed]
     theta0 = icnn.init(weights.n_assets, cfg.widths, seed=cfg.seed + TRAIN_SEED_OFFSET)
-    theta, log_rows = training.train_window(theta0, window, _train_config(cfg))
+    theta, log_rows = training.train_window(theta0, window, train_cfg)
     os.makedirs(cfg.out, exist_ok=True)
     icnn.save(theta, os.path.join(cfg.out, "theta.json"))
     training.write_training_log(os.path.join(cfg.out, "training_log.csv"), log_rows)
@@ -190,8 +191,8 @@ def cmd_train(args):
 
 def cmd_backtest(args):
     cfg = build_run_config(args)
-    weights = _load_weights(cfg)
-    report = backtest.walk_forward(weights, _walk_config(cfg))
+    walk_cfg = _walk_config(cfg)
+    report = backtest.walk_forward(_load_weights(cfg), walk_cfg)
     os.makedirs(cfg.out, exist_ok=True)
     backtest.write_window_csv(os.path.join(cfg.out, "windows.csv"), report)
     backtest.write_summary_csv(os.path.join(cfg.out, "summary.csv"), report)
@@ -305,6 +306,9 @@ def main(argv=None):
     except NeuralFgpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # e.g. an output path under a missing directory or a regular file
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .errors import ConfigError, DimensionError, NumericError
 
 PORTFOLIO_WEIGHT_FLOOR = 1e-6  # neural weights are floored here, then renormalised
 GRAD_CLIP = 10.0  # componentwise cap on grad log G for the neural map
-FD_STEP = 1e-4  # central-difference step of the neural Hessian
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def generator_value(gen: Generator, x):
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators; central finite differences for the neural one (diagnostics only)."""
+    generators; exact reverse mode through the autodiff tape for the neural one."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     diag = np.eye(n, dtype=bool)
@@ -147,16 +146,13 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
         return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
     if gen.kind == "entropy":
         return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
-    # central differences of G over the pairs i <= j, all 2n(n+1) stencil points of a row in one
-    # batch; one batch per row, because a whole slice's stencils in one batch raise peak memory
-    i, j = np.triu_indices(n)
-    E = FD_STEP * np.eye(n)
-    offsets = np.concatenate([E[i] + E[j], E[i] - E[j], E[j] - E[i], -E[i] - E[j]])
-    H = np.empty(outer.shape)
-    for row, h in zip(x.reshape(-1, n), H.reshape(-1, n, n)):
-        g = icnn.generating_function(gen.theta, row + offsets).reshape(4, -1)
-        h[i, j] = h[j, i] = (g[0] - g[1] - g[2] + g[3]) / (4.0 * FD_STEP * FD_STEP)
-    return H
+    # exact Hessian: one reverse pass through the tape's grad f, where copy i of each row
+    # differentiates coordinate i, so the adjoint of copy i is row i of the Hessian of f
+    rows = x.reshape(-1, n)
+    X = ad.param(np.repeat(rows, n, axis=0))
+    grad_f, _ = icnn.build_grad_f(icnn.params_to_nodes(gen.theta), X, gen.theta.widths)
+    ad.backward(ad.sum_(grad_f * np.tile(np.eye(n), (len(rows), 1))))
+    return -X.grad.reshape(outer.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def build_neural_pi(nodes, X, widths):
 
     Returns (pi (T, n), G (T,)).
     """
-    g, G, _ = icnn.build_grad_log_g(nodes, X, widths)
+    g, G = icnn.build_grad_log_g(nodes, X, widths)
     g = ad.maximum(g, -GRAD_CLIP)
     g = -ad.maximum(-g, -GRAD_CLIP)
     xg = ad.sum_(X * g, axis=1, keepdims=True)

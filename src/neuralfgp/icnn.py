@@ -5,9 +5,9 @@ nondecreasing) and nonnegative weights on the hidden-state path (every W_k
 for k >= 1 and the output vector w). W_0, the passthrough matrices U_k, the
 biases, u and c stay unconstrained.
 
-The input gradient of log G is written as an explicit recursion in autodiff
-primitives, so parameter gradients flow through it without second-order
-differentiation.
+The input gradient of f is written as an explicit recursion in autodiff
+primitives, so one reverse pass through it gives parameter gradients of the
+weight map and the exact input Hessian of f.
 """
 
 from __future__ import annotations
@@ -153,14 +153,12 @@ def generating_function(theta: ICNNParams, x):
     return -forward(theta, x)
 
 
-def build_grad_log_g(nodes, X, widths):
-    """Node graph for rows of grad_x log G at each row of X.
+def build_grad_f(nodes, X, widths):
+    """Node graph for rows of grad_x f at each row of X. Returns (grad_f (T, n), f (T,)).
 
     Backpropagates the forward recursion by hand (delta passes through
-    sigmoid(p_k) at each layer), then divides by the clamped G. Everything is
-    expressed in primitives so d/dtheta flows through the result.
-
-    Returns (grad_log_G (T, n), G (T,), G clamped (T,)).
+    sigmoid(p_k) at each layer). Everything is expressed in primitives, so
+    d/dtheta and d/dX flow through the result.
     """
     K = len(widths)
     f, P = build_f(nodes, X, widths)
@@ -174,12 +172,18 @@ def build_grad_log_g(nodes, X, widths):
     a = ad.sigmoid(P[0]) * delta
     term = a @ nodes["W0"]
     grad = term if grad is None else grad + term
-    grad_f = grad + nodes["u"]
+    return grad + nodes["u"], f
 
+
+def build_grad_log_g(nodes, X, widths):
+    """Node graph for rows of grad_x log G at each row of X, dividing by the clamped G.
+
+    Returns (grad_log_G (T, n), G (T,)).
+    """
+    grad_f, f = build_grad_f(nodes, X, widths)
     G = -f
-    G_clamped = ad.maximum(G, G_FLOOR)
-    grad_log_g = -grad_f / ad.reshape(G_clamped, (X.value.shape[0], 1))
-    return grad_log_g, G, G_clamped
+    grad_log_g = -grad_f / ad.reshape(ad.maximum(G, G_FLOOR), (X.value.shape[0], 1))
+    return grad_log_g, G
 
 
 def grad_log_G(theta: ICNNParams, x) -> np.ndarray:
@@ -188,7 +192,7 @@ def grad_log_G(theta: ICNNParams, x) -> np.ndarray:
     if x.shape != (theta.n,):
         raise DimensionError(f"grad_log_G: expected input of shape ({theta.n},), got {x.shape}")
     nodes = params_to_nodes(theta)
-    g, _, _ = build_grad_log_g(nodes, ad.constant(x[None, :]), theta.widths)
+    g, _ = build_grad_log_g(nodes, ad.constant(x[None, :]), theta.widths)
     return g.value[0].copy()
 
 

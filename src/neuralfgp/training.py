@@ -31,10 +31,10 @@ class TrainConfig:
     epochs: int = 150
 
     def __post_init__(self):
-        if self.lambda_l2 < 0:
-            raise ConfigError("lambda_l2 must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (np.isfinite(self.lambda_l2) and self.lambda_l2 >= 0):
+            raise ConfigError(f"lambda_l2 must be finite and >= 0, got {self.lambda_l2!r}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
 

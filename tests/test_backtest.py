@@ -101,27 +101,6 @@ def test_summarize_hand_values():
     assert rows["C"] == pytest.approx(0.0, abs=1e-14)
 
 
-# --- covariation estimate -------------------------------------------------------
-
-
-def test_tau_zero_for_constant_weights():
-    W = np.tile([0.3, 0.7], (10, 1))
-    np.testing.assert_array_equal(backtest.estimate_tau(W), np.zeros((2, 2)))
-
-
-def test_tau_single_step_is_outer_product():
-    W = np.array([[0.5, 0.5], [0.6, 0.4]])
-    d = np.log(W[1]) - np.log(W[0])
-    np.testing.assert_allclose(backtest.estimate_tau(W), np.outer(d, d), atol=1e-15)
-
-
-def test_tau_positive_semidefinite():
-    for seed in range(5):
-        path = weights_from_gbm(n_assets=4, n_days=100, seed=seed)
-        eigs = np.linalg.eigvalsh(backtest.estimate_tau(path.weights))
-        assert eigs.min() >= -1e-12
-
-
 # --- master equation -------------------------------------------------------------
 
 

@@ -189,8 +189,20 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({"mixed.csv": "date,AAA,BBB\n0,10,20\n2024-01-03,11,21\n"}, ["train", "--data", "{tmp}/mixed.csv"], 3),
         ({"latin1.csv": "date,AAA,BBB\n2024-01-02,10,20\n2024-01-03,11,\u00e9\n"}, ["train", "--data", "{tmp}/latin1.csv"], 3),
         ({"latin1.cfg": "n = 3  # \u00e9\n"}, ["simulate", "--config", "{tmp}/latin1.cfg"], 2),
+        ({}, ["simulate", "--n", "3", "--days", "10", "--out", "{tmp}/no-such-dir/x.csv"], 3),
+        ({"afile": ""}, ["train", "--n", "2", "--days", "45", *FAST, "--out", "{tmp}/afile/run"], 3),
+        ({"afile": ""}, ["backtest", "--n", "2", "--days", "45", *FAST, "--out", "{tmp}/afile/run"], 3),
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\n"}, ["report", "{tmp}/run"], 3),
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\nF\u00e9,0.1,3\n"}, ["report", "{tmp}/run"], 3),
+        # a non-finite hyperparameter is rejected before the data is read: exit 2, not the missing file's 3
+        ({}, ["train", "--data", "{tmp}/missing.csv", "--lambda", "nan"], 2),
+        ({}, ["backtest", "--data", "{tmp}/missing.csv", "--lr", "inf"], 2),
     ],
-    ids=["missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config"],
+    ids=[
+        "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
+        "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
+        "non-utf8-summary", "lambda-nan", "lr-inf",
+    ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     for name, text in files.items():

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn
@@ -174,7 +178,43 @@ def test_neural_hessian_matches_one_layer_closed_form():
         s = 1.0 / (1.0 + np.exp(-(theta.W[0] @ x + theta.b[0])))
         ref = -theta.W[0].T @ np.diag(theta.w * s * (1.0 - s)) @ theta.W[0]
         H = fgp.generator_hessian(gen, x)
-        assert np.abs(H - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def jacobian_recursion_hessian(theta, x):
+    """Hessian of G = -f by an independent numpy recursion over the layer Jacobians.
+
+    J_0 = W_0 and J_k = W_k diag(s_{k-1}) J_{k-1} + U_k are the Jacobians of the
+    pre-activations p_k; delta_K = w and delta_{k-1} = W_k^T (s_k * delta_k) are the
+    adjoints of the activations; H_f = sum_k J_k^T diag(delta_k s_k (1 - s_k)) J_k,
+    with s_k the logistic sigmoid of p_k.
+    """
+    sg = lambda t: 1.0 / (1.0 + np.exp(-t))
+    p = theta.W[0] @ x + theta.b[0]
+    P, J = [p], [theta.W[0]]
+    for k in range(1, len(theta.widths)):
+        J.append(theta.W[k] @ (sg(p)[:, None] * J[-1]) + theta.U[k - 1])
+        p = theta.W[k] @ np.logaddexp(0.0, p) + theta.U[k - 1] @ x + theta.b[k]
+        P.append(p)
+    H_f = np.zeros((x.size, x.size))
+    delta = theta.w
+    for k in range(len(theta.widths) - 1, -1, -1):
+        s = sg(P[k])
+        H_f += J[k].T @ ((delta * s * (1.0 - s))[:, None] * J[k])
+        if k:
+            delta = theta.W[k].T @ (s * delta)
+    return -H_f
+
+
+@pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
+def test_neural_hessian_matches_jacobian_recursion(widths):
+    rng = np.random.default_rng(32)
+    theta = icnn.init(4, widths, seed=13)
+    theta = replace(theta, b=tuple(rng.normal(size=m) for m in widths))
+    gen = fgp.Generator("neural", theta=theta)
+    X = random_simplex(rng, 4, 6)
+    ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
+    assert np.abs(fgp.generator_hessian(gen, X) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_weights_dispatch():
@@ -182,6 +222,25 @@ def test_weights_dispatch():
     assert np.allclose(fgp.weights(fgp.Generator("equal"), x).pi, [0.5, 0.5])
     theta = zero_params(n=2, widths=(3,), c=-2.0)
     assert np.allclose(fgp.weights(fgp.Generator("neural", theta=theta), x).pi, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+    c_shift=st.one_of(st.just(2.0), st.floats(-2.0, 6.0)),
+    data=st.data(),
+)
+def test_neural_weights_property(n, seed, c_shift, data):
+    # init puts G = 2 at the uniform point, so c_shift >= 2 drives G at or below G_FLOOR there
+    theta = icnn.init(n, (8, 8), seed=seed)
+    theta = replace(theta, c=theta.c + c_shift)
+    cell = st.one_of(st.just(1e-12), st.floats(1e-12, 1.0))
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=4))
+    X = np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    pi = fgp.weights(fgp.Generator("neural", theta=theta), X).pi
+    assert np.isfinite(pi).all() and pi.min() >= 0
+    np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 # --- point-or-batch convention ---------------------------------------------
