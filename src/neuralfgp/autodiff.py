@@ -234,29 +234,28 @@ def sqrt(a):
     return Node(out, (a,), "sqrt", vjps=(lambda g: g / (2.0 * out),))
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def softplus_sigmoid(x):
+    """softplus(x) and sigmoid(x), both from one shared e = exp(-|x|), with no boolean masks.
 
-
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    The sigmoid is the stable two-branch form, 1/(1+e) for x >= 0 and e/(1+e)
+    below, bit for bit, including at +-0 and +-inf (NaN stays NaN): since
+    0 <= e <= 1, its numerator max(e, x >= 0) is 1 on the first branch and e
+    on the second.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e), np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a):
     a = _as_node(a)
-    out = _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
+    _, out = softplus_sigmoid(a.value)
     return Node(out, (a,), "sigmoid", vjps=(lambda g: g * out * (1.0 - out),))
 
 
 def softplus(a):
     a = _as_node(a)
-    sig = _sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape)
-    return Node(_softplus(a.value), (a,), "softplus", vjps=(lambda g: g * sig,))
+    out, sig = softplus_sigmoid(a.value)
+    return Node(out, (a,), "softplus", vjps=(lambda g: g * sig,))
 
 
 def maximum(a, s):

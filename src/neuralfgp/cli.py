@@ -258,8 +258,18 @@ def _add_common_flags(p):
     p.add_argument("--svg", action="store_const", const=True, default=None, help="also write an SVG chart")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's error contract: a malformed flag is one stderr line, exit 2.
+
+    Subcommand parsers are built from the same class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"configuration error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neuralfgp",
         description="Learn a neural generating function and benchmark it against classical "
         "functionally generated portfolios in a walk-forward backtest.",

@@ -186,16 +186,6 @@ def build_grad_log_g(nodes, X, widths):
     return grad_log_g, G
 
 
-def grad_log_G(theta: ICNNParams, x) -> np.ndarray:
-    """grad_x log max(G, floor) at a single simplex point, as plain numbers."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (theta.n,):
-        raise DimensionError(f"grad_log_G: expected input of shape ({theta.n},), got {x.shape}")
-    nodes = params_to_nodes(theta)
-    g, _ = build_grad_log_g(nodes, ad.constant(x[None, :]), theta.widths)
-    return g.value[0].copy()
-
-
 # ---------------------------------------------------------------------------
 # serialisation: versioned JSON, arrays base64-encoded row-major float64
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fgp, icnn
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 POS_MARGIN = 0.1  # hinge margin delta keeping G above it
 POS_WEIGHT = 1.0  # hinge coefficient
@@ -62,15 +62,20 @@ class LossParts:
     hinge_term: float
 
 
+def _window(window_weights):
+    W = np.asarray(window_weights, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] < 2:
+        raise ConfigError("training window needs at least 2 rows")
+    return W
+
+
 def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
     """Loss graph over a weight window of T+1 rows.
 
     log V_T is accumulated in log-sum form for stability; the returned node is
     scalar and differentiable in every parameter leaf.
     """
-    W = np.asarray(window_weights, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise ConfigError("training window needs at least 2 rows")
+    W = _window(window_weights)
     T = W.shape[0] - 1
     X = ad.constant(W[:-1])
     ratios = ad.constant(W[1:] / W[:-1])
@@ -94,14 +99,106 @@ def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
 
 def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
-    """One tape evaluation: loss parts plus d(loss)/d(array) for every array."""
-    nodes = icnn.params_to_nodes(theta)
-    total, parts = build_loss(nodes, window_weights, cfg, theta.widths)
-    ad.backward(total)
-    grads = {
-        name: (node.grad if node.grad is not None else np.zeros_like(node.value))
-        for name, node in nodes.items()
-    }
+    """Loss parts plus d(loss)/d(array) for every array, in straight-line numpy.
+
+    The forward pass is build_loss's graph written out. The reverse pass applies
+    at each node the vector-Jacobian product the autodiff tape applies there, in
+    the same formula and operand layout. Every node has at most two consumers
+    and IEEE addition commutes, so the result is bit-identical to
+    ad.backward over build_loss, which stays as the reference.
+    """
+    W = _window(window_weights)
+    T = W.shape[0] - 1
+    X, ratios = W[:-1], W[1:] / W[:-1]
+    Ws, Us, w, u = theta.W, (None,) + theta.U, theta.w, theta.u
+    K = len(Ws)
+
+    # ICNN forward; one exp(-|P_k|) per layer gives softplus and its sigmoid
+    Z, S = [], []
+    for k in range(K):
+        P = X @ Ws[0].T if k == 0 else Z[-1] @ Ws[k].T + X @ Us[k].T
+        z, s = ad.softplus_sigmoid(P + theta.b[k])
+        Z.append(z)
+        S.append(s)
+    f = Z[-1] @ w + X @ u + theta.c
+
+    # input-gradient recursion (icnn.build_grad_f): A[j] = sigmoid(P_j) * D[j]
+    A, D = [None] * K, [None] * K
+    D[-1], grad = w, None
+    for j in range(K - 1, -1, -1):
+        A[j] = S[j] * D[j]
+        term = A[j] @ (Us[j] if j else Ws[0])
+        grad = term if grad is None else grad + term
+        if j:
+            D[j - 1] = A[j] @ Ws[j]
+    neg_grad_f = (grad + u) * -1.0
+
+    # G floor, clip at +-GRAD_CLIP, FGP map, weight floor (fgp.build_neural_pi)
+    G = f * -1.0
+    G_col = np.maximum(G, icnn.G_FLOOR).reshape(T, 1)
+    g_raw = neg_grad_f / G_col
+    g_low = np.maximum(g_raw, -fgp.GRAD_CLIP) * -1.0
+    g = np.maximum(g_low, -fgp.GRAD_CLIP) * -1.0
+    pi_raw = (g + (1.0 - (X * g).sum(axis=1, keepdims=True))) * X
+    pi_floored = np.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)
+    pi_sum = pi_floored.sum(axis=1, keepdims=True)
+    pi = pi_floored / pi_sum
+
+    # log wealth, penalty and hinge (build_loss)
+    step_returns = (pi * ratios).sum(axis=1)
+    log_v_term = (-1.0 / T) * np.log(step_returns).sum()
+    norms = np.sqrt((pi * pi).sum(axis=1))
+    penalty = cfg.lambda_l2 * norms.mean()
+    slack = np.maximum(POS_MARGIN - G, 0.0)
+    hinge = POS_WEIGHT * (slack * slack).mean()
+    total = log_v_term + penalty + hinge
+    if not np.isfinite(total):
+        raise NumericError("training loss is not finite")
+    parts = LossParts(float(total), float(log_v_term), float(penalty), float(hinge))
+
+    # reverse pass; the seed adjoint 1.0 drops out of every scaling by a constant
+    d_pi = ((-1.0 / T) / step_returns)[:, None] * ratios
+    d_pi = d_pi + 2.0 * ((cfg.lambda_l2 / T) / (2.0 * norms))[:, None] * pi
+    d_floored = d_pi / pi_sum + (-d_pi * pi_floored / (pi_sum * pi_sum)).sum(axis=1, keepdims=True)
+    d_gp = d_floored * (pi_raw > fgp.PORTFOLIO_WEIGHT_FLOOR) * X
+    d_g = d_gp + -d_gp.sum(axis=1, keepdims=True) * X
+    d_g_raw = (d_g * -1.0 * (g_low > -fgp.GRAD_CLIP)) * -1.0 * (g_raw > -fgp.GRAD_CLIP)
+    d_G_col = (-d_g_raw * neg_grad_f / (G_col * G_col)).sum(axis=1, keepdims=True)
+    # the hinge's mask is left out: slack is already zero wherever it is off
+    d_G = d_G_col.reshape(T) * (G > icnn.G_FLOOR) + -(2.0 * (POS_WEIGHT / T) * slack)
+    d_f = d_G * -1.0
+    d_grad = d_g_raw / G_col * -1.0
+
+    # back through the input-gradient recursion, first term first
+    d_W = [A[0].T @ d_grad]
+    d_U = [None] + [A[j].T @ d_grad for j in range(1, K)]
+    d_sig = [None] * K
+    d_A = d_grad @ Ws[0].T
+    for j in range(K):
+        d_sig[j] = d_A * D[j]
+        d_D = d_A * S[j]
+        if j + 1 < K:
+            d_W.append(A[j + 1].T @ d_D)
+            d_A = d_grad @ Us[j + 1].T + d_D @ Ws[j + 1].T
+    d_w = Z[-1].T @ d_f + d_D.sum(axis=0)
+
+    # back through the ICNN forward, last layer first
+    d_b = [None] * K
+    d_Z = np.outer(d_f, w)
+    for k in range(K - 1, -1, -1):
+        d_P = d_Z * S[k] + d_sig[k] * S[k] * (1.0 - S[k])
+        d_b[k] = d_P.sum(axis=0)
+        if k:
+            d_W[k] = (Z[k - 1].T @ d_P).T + d_W[k]
+            d_U[k] = (X.T @ d_P).T + d_U[k]
+            d_Z = d_P @ Ws[k]
+        else:
+            d_W[0] = (X.T @ d_P).T + d_W[0]
+
+    grads = {f"W{k}": d_W[k] for k in range(K)}
+    grads.update({f"U{k}": d_U[k] for k in range(1, K)})
+    grads.update({f"b{k}": d_b[k] for k in range(K)})
+    grads.update(w=d_w, u=X.T @ d_f + d_grad.sum(axis=0), c=np.asarray(d_f.sum(axis=0)))
     return parts, grads
 
 

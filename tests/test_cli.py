@@ -197,11 +197,14 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # a non-finite hyperparameter is rejected before the data is read: exit 2, not the missing file's 3
         ({}, ["train", "--data", "{tmp}/missing.csv", "--lambda", "nan"], 2),
         ({}, ["backtest", "--data", "{tmp}/missing.csv", "--lr", "inf"], 2),
+        # argparse's own errors: a malformed value, and "-inf", which argparse reads as a flag
+        ({}, ["backtest", "--n", "abc"], 2),
+        ({}, ["backtest", "--lambda", "-inf"], 2),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
-        "non-utf8-summary", "lambda-nan", "lr-inf",
+        "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):

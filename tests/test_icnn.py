@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from neuralfgp import autodiff as ad
 from neuralfgp import icnn
 from neuralfgp.errors import ConfigError, DimensionError
 
@@ -128,16 +129,22 @@ def test_midpoint_convexity_random_networks():
 # --- input gradient of log G ------------------------------------------------
 
 
+def grad_log_g_at(theta, x):
+    """grad_x log max(G, G_FLOOR) at one point, through the batched builder on a one-row X."""
+    g, _ = icnn.build_grad_log_g(icnn.params_to_nodes(theta), ad.constant(x[None, :]), theta.widths)
+    return g.value[0]
+
+
 def test_grad_log_g_linear_network_closed_form():
     theta = zero_params(u=np.array([1.0, 2.0]), c=-10.0)
     x = np.array([0.5, 0.5])
     # f = u.x - 10 so G = 10 - u.x = 8.5 and grad log G = -u / 8.5
-    g = icnn.grad_log_G(theta, x)
+    g = grad_log_g_at(theta, x)
     np.testing.assert_allclose(g, [-1.0 / 8.5, -2.0 / 8.5], atol=1e-14)
 
 
 def test_grad_log_g_constant_network_is_zero():
-    g = icnn.grad_log_G(zero_params(c=-4.0), np.array([0.3, 0.7]))
+    g = grad_log_g_at(zero_params(c=-4.0), np.array([0.3, 0.7]))
     np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
@@ -148,7 +155,7 @@ def test_grad_log_g_matches_finite_differences(depth, width):
     n = 5
     theta = icnn.project_constraints(icnn.init(n, (width,) * depth, seed=depth + width))
     x = random_simplex(rng, n)
-    g = icnn.grad_log_G(theta, x)
+    g = grad_log_g_at(theta, x)
     h = 1e-6
     for i in range(n):
         e = np.zeros(n)

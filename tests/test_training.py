@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from neuralfgp import icnn, training
-from neuralfgp.errors import ConfigError
+from neuralfgp import autodiff as ad
+from neuralfgp import fgp, icnn, training
+from neuralfgp.errors import ConfigError, NumericError
 from test_icnn import zero_params
 
 
@@ -89,6 +90,102 @@ def test_full_loss_gradient_matches_finite_differences():
                 g = np.atleast_1d(grads[name]).reshape(-1)[i]
                 worst = max(worst, abs(g - fd) / (1.0 + abs(fd)))
     assert worst < 1e-4
+
+
+# --- straight-line gradients against the tape -----------------------------
+
+
+def tape_loss_gradients(theta, window, cfg):
+    """The reference: one reverse pass of the autodiff tape over build_loss."""
+    nodes = icnn.params_to_nodes(theta)
+    total, parts = training.build_loss(nodes, window, cfg, theta.widths)
+    ad.backward(total)
+    return parts, {name: node.grad for name, node in nodes.items()}
+
+
+def random_case(rng, case):
+    """A small network and window; G at the first row is set to a level that
+    leaves every safety net slack (4, 1) or pushes G to the hinge (0.06) or the
+    G floor (-0.3)."""
+    n = int(rng.integers(2, 6))
+    widths = tuple(int(rng.choice([1, 4, 16])) for _ in range(1 + case % 3))
+    T = int(rng.choice([1, 3, 12]))
+    theta = icnn.init(n, widths, seed=case)
+    scale = rng.choice([1.0, 3.0])
+    arrays = {
+        name: arr * scale + (rng.normal(size=arr.shape) if name[0] in "bU" else 0.0)
+        for name, arr in theta.arrays()
+    }
+    window = random_window(rng, n, T + 1)
+    probe = icnn.from_arrays(arrays, widths)
+    arrays["c"] = probe.c + icnn.generating_function(probe, window[0]) - rng.choice([4.0, 4.0, 1.0, 0.06, -0.3])
+    theta = icnn.project_constraints(icnn.from_arrays(arrays, widths))
+    return theta, window, training.TrainConfig(lambda_l2=float(rng.choice([0.0, 0.3])))
+
+
+def binding_nets(theta, window):
+    """Which safety nets bind on some row of the window."""
+    X = window[:-1]
+    g, G = icnn.build_grad_log_g(icnn.params_to_nodes(theta), ad.constant(X), theta.widths)
+    clipped = np.clip(g.value, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
+    raw = (clipped + 1.0 - np.sum(X * clipped, axis=1, keepdims=True)) * X
+    return {
+        "clip": bool(np.any(np.abs(g.value) > fgp.GRAD_CLIP)),
+        "weight floor": bool(np.any(raw <= fgp.PORTFOLIO_WEIGHT_FLOOR)),
+        "hinge": bool(np.any(G.value < training.POS_MARGIN)),
+        "G floor": bool(np.any(G.value <= icnn.G_FLOOR)),
+    }
+
+
+def test_loss_gradients_bit_identical_to_tape():
+    rng = np.random.default_rng(12)
+    bound = {"clip": 0, "weight floor": 0, "hinge": 0, "G floor": 0}
+    slack = 0
+    for case in range(72):
+        theta, window, cfg = random_case(rng, case)
+        ref_parts, ref_grads = tape_loss_gradients(theta, window, cfg)
+        parts, grads = training.loss_gradients(theta, window, cfg)
+        assert parts == ref_parts, case
+        assert list(grads) == list(ref_grads), case
+        for name, ref in ref_grads.items():
+            assert np.shape(grads[name]) == np.shape(ref), (case, name)
+            assert np.array_equal(grads[name], ref), (case, name)
+        nets = binding_nets(theta, window)
+        for net, binds in nets.items():
+            bound[net] += binds
+        slack += not any(nets.values())
+    assert all(0 < count < 72 for count in bound.values()), bound
+    assert slack > 0
+
+
+def test_loss_gradients_non_finite_loss_is_numeric_error():
+    theta = zero_params(n=2, widths=(2,), c=-5.0)
+    window = np.array([[0.5, 0.5], [np.inf, 0.5]])
+    with pytest.raises(NumericError):
+        training.loss_gradients(theta, window, training.TrainConfig())
+
+
+def test_train_window_matches_tape_loop():
+    # the training loop of train_window, driven by the tape's gradients
+    rng = np.random.default_rng(13)
+    window = rng.dirichlet(np.full(5, 20.0), 201)
+    theta0 = icnn.init(5, (64, 64), seed=3)
+    cfg = training.TrainConfig(epochs=20)
+    theta, state = theta0, training.AdamState.for_params(theta0)
+    best_theta, best_loss, ref_rows = theta0, np.inf, []
+    for epoch in range(cfg.epochs):
+        parts, grads = tape_loss_gradients(theta, window, cfg)
+        ref_rows.append((epoch, parts.total, parts.log_v_term, parts.penalty_term, parts.hinge_term))
+        if parts.total < best_loss:
+            best_loss, best_theta = parts.total, theta
+        theta, state = training.adam_step(theta, grads, state, cfg)
+    if training.loss(theta, window, cfg).total < best_loss:
+        best_theta = theta
+
+    got_theta, rows = training.train_window(theta0, window, cfg)
+    assert rows == ref_rows
+    for (name, a), (_, b) in zip(got_theta.arrays(), best_theta.arrays()):
+        assert a.tobytes() == b.tobytes(), name
 
 
 # --- Adam -------------------------------------------------------------------
