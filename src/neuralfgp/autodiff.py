@@ -159,10 +159,6 @@ def matmul(a, b):
         if av.shape[1] != bv.shape[0]:
             raise DimensionError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
         vjps = (lambda g: np.outer(g, bv), lambda g: av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise DimensionError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
-        vjps = (lambda g: bv @ g, lambda g: np.outer(av, g))
     else:
         raise DimensionError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
     return Node(av @ bv, (a, b), "matmul", vjps=vjps)
@@ -322,9 +318,3 @@ def backward(output):
                 parent.grad = np.array(contrib, dtype=np.float64, copy=True)
             else:
                 parent.grad = parent.grad + contrib
-
-
-def zero_grad(nodes):
-    """Reset accumulated adjoints so a later backward starts fresh."""
-    for node in nodes:
-        node.grad = None

@@ -48,17 +48,28 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("n must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(not (0.0 < p < 1.0) for p in self.p_vals):
             raise ConfigError(f"p_vals must lie in (0, 1), got {self.p_vals}")
         if self.use_real and self.y < 1:
             raise ConfigError("y (years of history) must be >= 1 for real data")
 
 
+def float_list(text):
+    """Comma-separated floats, e.g. '0.3,0.5'; empty items are skipped."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def int_list(text):
+    """Comma-separated integers, e.g. '64,64'; empty items are skipped."""
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
 _BOOL_KEYS = {"use_real", "svg", "warm_start"}
-_INT_KEYS = {"n", "y", "days", "seed", "train_days", "test_days", "epochs", "jobs"}
-_FLOAT_KEYS = {"lr", "lam"}
-_TUPLE_FLOAT_KEYS = {"p_vals"}
-_TUPLE_INT_KEYS = {"widths"}
+# parsers of the other non-string keys; the command-line flags use the same ones
+_PARSERS = dict.fromkeys(("n", "y", "days", "seed", "train_days", "test_days", "epochs", "jobs"), int)
+_PARSERS.update(lr=float, lam=float, p_vals=float_list, widths=int_list)
 
 
 def _coerce(key, raw):
@@ -69,17 +80,9 @@ def _coerce(key, raw):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _TUPLE_FLOAT_KEYS:
-            return tuple(float(v) for v in str(raw).split(",") if v.strip())
-        if key in _TUPLE_INT_KEYS:
-            return tuple(int(v) for v in str(raw).split(",") if v.strip())
+        return _PARSERS.get(key, str)(raw)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-    return raw
 
 
 def parse_config_file(path):
@@ -224,13 +227,7 @@ def _add_common_flags(p):
     p.add_argument("--use-real", dest="use_real", action="store_const", const=True, default=None)
     p.add_argument("--n", type=int, default=None, help="number of assets")
     p.add_argument("--years", dest="y", type=int, default=None, help="years of real history")
-    p.add_argument(
-        "--p-vals",
-        dest="p_vals",
-        type=lambda s: tuple(float(v) for v in s.split(",")),
-        default=None,
-        help="comma-separated diversity exponents",
-    )
+    p.add_argument("--p-vals", dest="p_vals", type=float_list, default=None, help="comma-separated diversity exponents")
     p.add_argument("--days", type=int, default=None, help="synthetic path length")
     p.add_argument("--data", dest="data_path", default=None, help="wide-format price CSV")
     p.add_argument("--train-days", dest="train_days", type=int, default=None)
@@ -238,12 +235,7 @@ def _add_common_flags(p):
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="l2 penalty coefficient")
-    p.add_argument(
-        "--widths",
-        type=lambda s: tuple(int(v) for v in s.split(",")),
-        default=None,
-        help="comma-separated hidden layer widths",
-    )
+    p.add_argument("--widths", type=int_list, default=None, help="comma-separated hidden layer widths")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--warm-start", dest="warm_start", action="store_const", const=True, default=None,

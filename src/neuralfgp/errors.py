@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to a CLI exit code (see cli.EXIT_CODES).
+Each class maps to a CLI exit code: cli.main turns ConfigError into
+EXIT_CONFIG (2), DataError into EXIT_DATA (3) and NumericError into
+EXIT_NUMERIC (4).
 """
 
 

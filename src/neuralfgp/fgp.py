@@ -8,11 +8,11 @@ row by row on the last axis, so a batch row never reads another row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import icnn
 from .errors import ConfigError, DimensionError, NumericError
 
@@ -127,7 +127,7 @@ def generator_value(gen: Generator, x):
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators; exact reverse mode through the autodiff tape for the neural one."""
+    generators; exact for the neural one, by the forward Jacobian recursion of the ICNN."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     diag = np.eye(n, dtype=bool)
@@ -146,38 +146,51 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
         return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
     if gen.kind == "entropy":
         return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
-    # exact Hessian: one reverse pass through the tape's grad f, where copy i of each row
-    # differentiates coordinate i, so the adjoint of copy i is row i of the Hessian of f
-    rows = x.reshape(-1, n)
-    X = ad.param(np.repeat(rows, n, axis=0))
-    grad_f, _ = icnn.build_grad_f(icnn.params_to_nodes(gen.theta), X, gen.theta.widths)
-    ad.backward(ad.sum_(grad_f * np.tile(np.eye(n), (len(rows), 1))))
-    return -X.grad.reshape(outer.shape)
+    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
+    # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
+    theta = gen.theta
+    X = x.reshape(-1, n)
+    _, _, S = icnn.forward_layers(theta, X)
+    A, _, _ = icnn.input_gradient(theta, S)
+    H = 0.0
+    for k, W in enumerate(theta.W):
+        J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
+        H = H + np.swapaxes(J, -1, -2) @ ((A[k] * (1.0 - S[k]))[..., None] * J)
+    return -H.reshape(outer.shape)
 
 
 # ---------------------------------------------------------------------------
-# neural weight map, value path and differentiable node path
+# neural weight map
 # ---------------------------------------------------------------------------
 
 
-def build_neural_pi(nodes, X, widths):
-    """Node graph for neural portfolio weights at every row of X.
+# The neural weight map at each row of a batch X (m, n), with every intermediate its adjoint
+# reads: Z, S, A, D from icnn.forward_layers and icnn.input_gradient; -grad f; G = -f;
+# G_col = max(G, G_FLOOR) as a column; grad_log_g before the clip; g_low, the clip's first
+# half; the raw FGP weights; their floored values and row sums; and the weights pi.
+NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g g_low pi_raw pi_floored pi_sum pi")
 
-    Pipeline: grad log G -> componentwise clip at +-GRAD_CLIP -> generic FGP
-    map -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise. Clip and floor use
-    the maximum primitive, so the whole map stays differentiable in the
-    parameters.
 
-    Returns (pi (T, n), G (T,)).
+def neural_map(theta: icnn.ICNNParams, X) -> NeuralMap:
+    """Neural weights at each row of X: grad log G -> componentwise clip at +-GRAD_CLIP ->
+    generic FGP map -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise.
+
+    G is floored at G_FLOOR before the division. Every step has the operand order of
+    the autodiff graph of training.build_loss, so both give the same bits.
     """
-    g, G = icnn.build_grad_log_g(nodes, X, widths)
-    g = ad.maximum(g, -GRAD_CLIP)
-    g = -ad.maximum(-g, -GRAD_CLIP)
-    xg = ad.sum_(X * g, axis=1, keepdims=True)
-    pi_raw = (g + (1.0 - xg)) * X
-    pi_floored = ad.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
-    pi = pi_floored / ad.sum_(pi_floored, axis=1, keepdims=True)
-    return pi, G
+    f, Z, S = icnn.forward_layers(theta, X)
+    A, D, grad_f = icnn.input_gradient(theta, S)
+    neg_grad_f = grad_f * -1.0
+    G = f * -1.0
+    G_col = np.maximum(G, icnn.G_FLOOR).reshape(-1, 1)
+    grad_log_g = neg_grad_f / G_col
+    g_low = np.maximum(grad_log_g, -GRAD_CLIP) * -1.0
+    g = np.maximum(g_low, -GRAD_CLIP) * -1.0
+    pi_raw = (g + (1.0 - (X * g).sum(axis=1, keepdims=True))) * X
+    pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
+    pi_sum = pi_floored.sum(axis=1, keepdims=True)
+    pi = pi_floored / pi_sum
+    return NeuralMap(Z, S, A, D, neg_grad_f, G, G_col, grad_log_g, g_low, pi_raw, pi_floored, pi_sum, pi)
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
@@ -185,8 +198,7 @@ def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
         raise DimensionError(f"neural_weights: expected shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
-    pi, _ = build_neural_pi(icnn.params_to_nodes(theta), ad.constant(np.atleast_2d(x)), theta.widths)
-    return PortfolioWeights(pi.value.reshape(x.shape))
+    return PortfolioWeights(neural_map(theta, np.atleast_2d(x)).pi.reshape(x.shape))
 
 
 def weights(gen: Generator, x) -> PortfolioWeights:

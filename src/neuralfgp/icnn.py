@@ -5,9 +5,9 @@ nondecreasing) and nonnegative weights on the hidden-state path (every W_k
 for k >= 1 and the output vector w). W_0, the passthrough matrices U_k, the
 biases, u and c stay unconstrained.
 
-The input gradient of f is written as an explicit recursion in autodiff
-primitives, so one reverse pass through it gives parameter gradients of the
-weight map and the exact input Hessian of f.
+Two numpy passes over the rows of an input batch serve every evaluation:
+`forward_layers` gives f with the hidden activations and their slopes, and
+`input_gradient` backpropagates f by hand to its input.
 """
 
 from __future__ import annotations
@@ -103,13 +103,8 @@ def project_constraints(theta: ICNNParams) -> ICNNParams:
     return ICNNParams(W, theta.U, theta.b, np.maximum(theta.w, 0.0), theta.u, theta.c, theta.widths)
 
 
-# ---------------------------------------------------------------------------
-# autodiff builders: batched over the rows of an input matrix X (T, n)
-# ---------------------------------------------------------------------------
-
-
 def params_to_nodes(theta: ICNNParams) -> dict:
-    """Differentiable leaves for every parameter array."""
+    """Differentiable autodiff leaves for every parameter array."""
     return {name: ad.param(arr) for name, arr in theta.arrays()}
 
 
@@ -127,16 +122,42 @@ def from_arrays(arrays, widths) -> ICNNParams:
     )
 
 
-def build_f(nodes, X, widths):
-    """Node graph for f over every row of X. Returns (f (T,), pre-activation list)."""
-    K = len(widths)
-    P = [X @ ad.transpose(nodes["W0"]) + nodes["b0"]]
-    Z = ad.softplus(P[0])
-    for k in range(1, K):
-        P.append(Z @ ad.transpose(nodes[f"W{k}"]) + X @ ad.transpose(nodes[f"U{k}"]) + nodes[f"b{k}"])
-        Z = ad.softplus(P[-1])
-    f = Z @ nodes["w"] + X @ nodes["u"] + nodes["c"]
-    return f, P
+# ---------------------------------------------------------------------------
+# numpy passes, batched over the rows of an input matrix X (m, n)
+# ---------------------------------------------------------------------------
+
+
+def forward_layers(theta: ICNNParams, X):
+    """f (m,) at each row of X, with lists Z of softplus(P_k) and S of sigmoid(P_k), each (m, m_k).
+
+    P_0 = X W_0^T + b_0, P_k = Z_{k-1} W_k^T + X U_k^T + b_k and f = Z_K w + X u + c.
+    Returns (f, Z, S).
+    """
+    Z, S = [], []
+    for k, W in enumerate(theta.W):
+        P = X @ W.T if k == 0 else Z[-1] @ W.T + X @ theta.U[k - 1].T
+        z, s = ad.softplus_sigmoid(P + theta.b[k])
+        Z.append(z)
+        S.append(s)
+    return Z[-1] @ theta.w + X @ theta.u + theta.c, Z, S
+
+
+def input_gradient(theta: ICNNParams, S):
+    """grad_x f at each row, backpropagated by hand through the sigmoids S of forward_layers().
+
+    D[K-1] = w and D[j-1] = A[j] W_j are the adjoints of the activations, A[j] = S[j] * D[j]
+    those of the pre-activations. Returns (A, D, grad_f (m, n)).
+    """
+    K = len(theta.W)
+    A, D = [None] * K, [None] * K
+    D[-1], grad = theta.w, None
+    for j in range(K - 1, -1, -1):
+        A[j] = S[j] * D[j]
+        term = A[j] @ (theta.U[j - 1] if j else theta.W[0])
+        grad = term if grad is None else grad + term
+        if j:
+            D[j - 1] = A[j] @ theta.W[j]
+    return A, D, grad + theta.u
 
 
 def forward(theta: ICNNParams, x):
@@ -144,46 +165,13 @@ def forward(theta: ICNNParams, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
         raise DimensionError(f"forward: expected input of shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
-    f, _ = build_f(params_to_nodes(theta), ad.constant(np.atleast_2d(x)), theta.widths)
-    return float(f.value[0]) if x.ndim == 1 else f.value
+    f, _, _ = forward_layers(theta, np.atleast_2d(x))
+    return float(f[0]) if x.ndim == 1 else f
 
 
 def generating_function(theta: ICNNParams, x):
     """G(x) = -f(x), shaped as forward's result. May be nonpositive; downstream logs clamp at G_FLOOR."""
     return -forward(theta, x)
-
-
-def build_grad_f(nodes, X, widths):
-    """Node graph for rows of grad_x f at each row of X. Returns (grad_f (T, n), f (T,)).
-
-    Backpropagates the forward recursion by hand (delta passes through
-    sigmoid(p_k) at each layer). Everything is expressed in primitives, so
-    d/dtheta and d/dX flow through the result.
-    """
-    K = len(widths)
-    f, P = build_f(nodes, X, widths)
-    grad = None
-    delta = nodes["w"]
-    for j in range(K - 1, 0, -1):
-        a = ad.sigmoid(P[j]) * delta
-        term = a @ nodes[f"U{j}"]
-        grad = term if grad is None else grad + term
-        delta = a @ nodes[f"W{j}"]
-    a = ad.sigmoid(P[0]) * delta
-    term = a @ nodes["W0"]
-    grad = term if grad is None else grad + term
-    return grad + nodes["u"], f
-
-
-def build_grad_log_g(nodes, X, widths):
-    """Node graph for rows of grad_x log G at each row of X, dividing by the clamped G.
-
-    Returns (grad_log_G (T, n), G (T,)).
-    """
-    grad_f, f = build_grad_f(nodes, X, widths)
-    G = -f
-    grad_log_g = -grad_f / ad.reshape(ad.maximum(G, G_FLOOR), (X.value.shape[0], 1))
-    return grad_log_g, G
 
 
 # ---------------------------------------------------------------------------

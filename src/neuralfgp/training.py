@@ -70,20 +70,43 @@ def _window(window_weights):
 
 
 def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
-    """Loss graph over a weight window of T+1 rows.
+    """Loss graph over a weight window of T+1 rows, on the autodiff tape.
 
-    log V_T is accumulated in log-sum form for stability; the returned node is
-    scalar and differentiable in every parameter leaf.
+    It spells out loss_gradients' forward pass node for node: the ICNN, its
+    input-gradient recursion, the neural weight map (fgp.neural_map) and the
+    loss terms. log V_T is accumulated in log-sum form for stability. The
+    returned node is scalar and differentiable in every parameter leaf; one
+    reverse pass over it is the reference for the hand-written adjoint.
     """
     W = _window(window_weights)
     T = W.shape[0] - 1
+    K = len(widths)
     X = ad.constant(W[:-1])
     ratios = ad.constant(W[1:] / W[:-1])
 
-    pi, G = fgp.build_neural_pi(nodes, X, widths)
-    step_returns = ad.sum_(pi * ratios, axis=1)
-    log_v = ad.sum_(ad.log(step_returns))
-    log_v_term = (-1.0 / T) * log_v
+    P = [X @ ad.transpose(nodes["W0"]) + nodes["b0"]]
+    Z = ad.softplus(P[0])
+    for k in range(1, K):
+        P.append(Z @ ad.transpose(nodes[f"W{k}"]) + X @ ad.transpose(nodes[f"U{k}"]) + nodes[f"b{k}"])
+        Z = ad.softplus(P[-1])
+    f = Z @ nodes["w"] + X @ nodes["u"] + nodes["c"]
+
+    grad, delta = None, nodes["w"]
+    for j in range(K - 1, -1, -1):
+        a = ad.sigmoid(P[j]) * delta
+        term = a @ nodes[f"U{j}" if j else "W0"]
+        grad = term if grad is None else grad + term
+        if j:
+            delta = a @ nodes[f"W{j}"]
+
+    G = -f
+    g = -(grad + nodes["u"]) / ad.reshape(ad.maximum(G, icnn.G_FLOOR), (T, 1))
+    g = -ad.maximum(-ad.maximum(g, -fgp.GRAD_CLIP), -fgp.GRAD_CLIP)
+    pi_raw = (g + (1.0 - ad.sum_(X * g, axis=1, keepdims=True))) * X
+    pi_floored = ad.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)
+    pi = pi_floored / ad.sum_(pi_floored, axis=1, keepdims=True)
+
+    log_v_term = (-1.0 / T) * ad.sum_(ad.log(ad.sum_(pi * ratios, axis=1)))
     penalty = cfg.lambda_l2 * ad.mean_(ad.l2norm(pi, axis=1))
     hinge = POS_WEIGHT * ad.mean_(ad.square(ad.maximum(POS_MARGIN - G, 0.0)))
     total = log_v_term + penalty + hinge
@@ -101,7 +124,7 @@ def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     """Loss parts plus d(loss)/d(array) for every array, in straight-line numpy.
 
-    The forward pass is build_loss's graph written out. The reverse pass applies
+    The forward pass is fgp.neural_map plus the loss terms. The reverse pass applies
     at each node the vector-Jacobian product the autodiff tape applies there, in
     the same formula and operand layout. Every node has at most two consumers
     and IEEE addition commutes, so the result is bit-identical to
@@ -110,39 +133,9 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     W = _window(window_weights)
     T = W.shape[0] - 1
     X, ratios = W[:-1], W[1:] / W[:-1]
-    Ws, Us, w, u = theta.W, (None,) + theta.U, theta.w, theta.u
+    Ws, Us, w = theta.W, (None,) + theta.U, theta.w
     K = len(Ws)
-
-    # ICNN forward; one exp(-|P_k|) per layer gives softplus and its sigmoid
-    Z, S = [], []
-    for k in range(K):
-        P = X @ Ws[0].T if k == 0 else Z[-1] @ Ws[k].T + X @ Us[k].T
-        z, s = ad.softplus_sigmoid(P + theta.b[k])
-        Z.append(z)
-        S.append(s)
-    f = Z[-1] @ w + X @ u + theta.c
-
-    # input-gradient recursion (icnn.build_grad_f): A[j] = sigmoid(P_j) * D[j]
-    A, D = [None] * K, [None] * K
-    D[-1], grad = w, None
-    for j in range(K - 1, -1, -1):
-        A[j] = S[j] * D[j]
-        term = A[j] @ (Us[j] if j else Ws[0])
-        grad = term if grad is None else grad + term
-        if j:
-            D[j - 1] = A[j] @ Ws[j]
-    neg_grad_f = (grad + u) * -1.0
-
-    # G floor, clip at +-GRAD_CLIP, FGP map, weight floor (fgp.build_neural_pi)
-    G = f * -1.0
-    G_col = np.maximum(G, icnn.G_FLOOR).reshape(T, 1)
-    g_raw = neg_grad_f / G_col
-    g_low = np.maximum(g_raw, -fgp.GRAD_CLIP) * -1.0
-    g = np.maximum(g_low, -fgp.GRAD_CLIP) * -1.0
-    pi_raw = (g + (1.0 - (X * g).sum(axis=1, keepdims=True))) * X
-    pi_floored = np.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)
-    pi_sum = pi_floored.sum(axis=1, keepdims=True)
-    pi = pi_floored / pi_sum
+    Z, S, A, D, neg_grad_f, G, G_col, g_raw, g_low, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X)
 
     # log wealth, penalty and hinge (build_loss)
     step_returns = (pi * ratios).sum(axis=1)

@@ -200,11 +200,18 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # argparse's own errors: a malformed value, and "-inf", which argparse reads as a flag
         ({}, ["backtest", "--n", "abc"], 2),
         ({}, ["backtest", "--lambda", "-inf"], 2),
+        # a negative seed, from the command line or a config file
+        ({}, ["simulate", "--seed", "-1"], 2),
+        ({"neg-seed.cfg": "seed = -1\n"}, ["backtest", "--config", "{tmp}/neg-seed.cfg"], 2),
+        # a malformed item in a comma-separated list
+        ({}, ["backtest", "--p-vals", "0.5,abc"], 2),
+        ({}, ["backtest", "--widths", "4,x"], 2),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
+        "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -221,6 +228,23 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--p-vals", "0.5,abc"), ("--widths", "4,x")])
+def test_malformed_list_flag_names_the_flag(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["backtest", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "<lambda>" not in err
+
+
+def test_config_file_lists_parse_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p_vals = 0.2, 0.4,\nwidths = 8,4\n")
+    assert cli.parse_config_file(cfg) == {"p_vals": (0.2, 0.4), "widths": (8, 4)}
+    args = cli.build_parser().parse_args(["backtest", "--p-vals", "0.2, 0.4,", "--widths", "8,4"])
+    assert (args.p_vals, args.widths) == ((0.2, 0.4), (8, 4))
 
 
 # --- fetch -------------------------------------------------------------------------

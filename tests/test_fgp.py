@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfgp import autodiff as ad
-from neuralfgp import fgp, icnn
+from neuralfgp import fgp, icnn, training
 from neuralfgp.errors import ConfigError, NumericError
 from test_icnn import zero_params
 
@@ -59,10 +59,10 @@ def test_neural_map_floor_binds_near_vertex():
     floor = fgp.PORTFOLIO_WEIGHT_FLOOR
     for seed in range(4):
         theta = icnn.init(n, (8, 8), seed=seed)
-        pi, _ = fgp.build_neural_pi(icnn.params_to_nodes(theta), ad.constant(X), theta.widths)
-        assert pi.value.min() >= 0
-        np.testing.assert_allclose(pi.value.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert pi.value[near_vertex].min() >= floor / (2 * fgp.GRAD_CLIP + 1 + n * floor)
+        pi = fgp.neural_map(theta, X).pi
+        assert pi.min() >= 0
+        np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert pi[near_vertex].min() >= floor / (2 * fgp.GRAD_CLIP + 1 + n * floor)
 
 
 # --- classical generators ---------------------------------------------------
@@ -215,6 +215,43 @@ def test_neural_hessian_matches_jacobian_recursion(widths):
     X = random_simplex(rng, 4, 6)
     ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
     assert np.abs(fgp.generator_hessian(gen, X) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
+def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
+    # row i of the Hessian of f is d(grad f)/dx_i; grad f is the numpy input-gradient recursion
+    rng = np.random.default_rng(33)
+    theta = icnn.init(4, widths, seed=14)
+    theta = replace(theta, b=tuple(rng.normal(size=m) for m in widths))
+    gen = fgp.Generator("neural", theta=theta)
+
+    def grad_f(X):
+        _, _, S = icnn.forward_layers(theta, X)
+        return icnn.input_gradient(theta, S)[2]
+
+    h = 1e-5
+    for x in random_simplex(rng, 4, 5):
+        fd = (grad_f(x + h * np.eye(4)) - grad_f(x - h * np.eye(4))) / (2 * h)
+        assert np.abs(fgp.generator_hessian(gen, x) + fd).max() <= 1e-7 * (1.0 + np.abs(fd).max())
+
+
+def test_numpy_paths_build_no_autodiff_node(monkeypatch):
+    # only training.build_loss (through loss()) and icnn.params_to_nodes may build tape nodes
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an autodiff Node was built")
+
+    monkeypatch.setattr(ad.Node, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Node was built"):
+        ad.constant(1.0)
+    theta = icnn.init(4, (8, 8), seed=1)
+    gen = fgp.Generator("neural", theta=theta)
+    X = random_simplex(np.random.default_rng(34), 4, 6)
+    for x in (X[0], X):
+        icnn.forward(theta, x)
+        fgp.neural_weights(theta, x)
+        fgp.generator_value(gen, x)
+        fgp.generator_hessian(gen, x)
+    training.loss_gradients(theta, X, training.TrainConfig())
 
 
 def test_weights_dispatch():

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from neuralfgp import autodiff as ad
-from neuralfgp import icnn
+from neuralfgp import fgp, icnn
 from neuralfgp.errors import ConfigError, DimensionError
 
 
@@ -130,9 +129,8 @@ def test_midpoint_convexity_random_networks():
 
 
 def grad_log_g_at(theta, x):
-    """grad_x log max(G, G_FLOOR) at one point, through the batched builder on a one-row X."""
-    g, _ = icnn.build_grad_log_g(icnn.params_to_nodes(theta), ad.constant(x[None, :]), theta.widths)
-    return g.value[0]
+    """grad_x log max(G, G_FLOOR) at one point, through the neural weight map on a one-row X."""
+    return fgp.neural_map(theta, x[None, :]).grad_log_g[0]
 
 
 def test_grad_log_g_linear_network_closed_form():

@@ -1,10 +1,19 @@
-"""The benchmark's tracer wraps program functions by name; a rename must fail here, not in a traced run."""
+"""The benchmark's tracer wraps program functions by name; a rename must fail here, not in a traced run.
+
+The benchmark's self-test also reads facts that only some calls produce: the
+tape size from the result of `training.build_loss`, and the JSON hand-over of
+theta between warm-started windows. A change that stops those calls must fail
+here too.
+"""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from neuralfgp import backtest, icnn, market_data, training
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -21,3 +30,35 @@ def traced_names():
 def test_traced_function_resolves(name):
     layer, func = name.split(".")
     assert callable(getattr(importlib.import_module(f"neuralfgp.{layer}"), func, None)), name
+
+
+def counting(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that records each call; returns the call list."""
+    calls = []
+    func = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_train_window_builds_the_loss_graph_once(monkeypatch):
+    calls = counting(monkeypatch, training, "build_loss")
+    window = np.random.default_rng(0).dirichlet(np.ones(3), 11)
+    training.train_window(icnn.init(3, (4,), seed=0), window, training.TrainConfig(epochs=3))
+    assert calls == ["build_loss"]
+
+
+def test_warm_started_walk_forward_hands_theta_over_as_json(monkeypatch):
+    to_json = counting(monkeypatch, icnn, "to_json")
+    from_json = counting(monkeypatch, icnn, "from_json")
+    prices = market_data.gbm_simulate(market_data.GbmConfig(n_assets=3, n_days=60, seed=1))
+    path = market_data.normalize_to_weights(prices)
+    cfg = backtest.WalkForwardConfig(train_days=20, test_days=10, widths=(3,), train=training.TrainConfig(epochs=2))
+    assert cfg.warm_start
+    report = backtest.walk_forward(path, cfg)
+    assert report.n_windows > 1
+    assert to_json and from_json

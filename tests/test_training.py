@@ -126,14 +126,15 @@ def random_case(rng, case):
 def binding_nets(theta, window):
     """Which safety nets bind on some row of the window."""
     X = window[:-1]
-    g, G = icnn.build_grad_log_g(icnn.params_to_nodes(theta), ad.constant(X), theta.widths)
-    clipped = np.clip(g.value, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
+    nm = fgp.neural_map(theta, X)
+    g, G = nm.grad_log_g, nm.G
+    clipped = np.clip(g, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
     raw = (clipped + 1.0 - np.sum(X * clipped, axis=1, keepdims=True)) * X
     return {
-        "clip": bool(np.any(np.abs(g.value) > fgp.GRAD_CLIP)),
+        "clip": bool(np.any(np.abs(g) > fgp.GRAD_CLIP)),
         "weight floor": bool(np.any(raw <= fgp.PORTFOLIO_WEIGHT_FLOOR)),
-        "hinge": bool(np.any(G.value < training.POS_MARGIN)),
-        "G floor": bool(np.any(G.value <= icnn.G_FLOOR)),
+        "hinge": bool(np.any(G < training.POS_MARGIN)),
+        "G floor": bool(np.any(G <= icnn.G_FLOOR)),
     }
 
 
