@@ -146,7 +146,7 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
                 theta_json = trained_json
             results.append(terminals)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, K)) as pool:
             results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
 
     labels = tuple(results[0])

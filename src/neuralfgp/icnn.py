@@ -13,8 +13,10 @@ Two numpy passes over the rows of an input batch serve every evaluation:
 from __future__ import annotations
 
 import base64
+import functools
 import json
-from dataclasses import dataclass, replace
+import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,35 +26,46 @@ from .errors import ConfigError, DimensionError
 G_FLOOR = 1e-8  # log G reads max(G, G_FLOOR)
 
 
-@dataclass(frozen=True)
+Layout = namedtuple("Layout", "slots lower")
+
+
+@functools.lru_cache
+def layout(n, widths) -> Layout:
+    """Each name's (slice, shape) in the flat parameter vector, in arrays() order: W0..W{K-1},
+    U1..U{K-1}, b0..b{K-1}, w, u, c. lower is 0 on the constrained W[1:] and w, -inf elsewhere."""
+    K = len(widths)
+    shapes = [("W0", (widths[0], n))] + [(f"W{k}", (widths[k], widths[k - 1])) for k in range(1, K)]
+    shapes += [(f"U{k}", (widths[k], n)) for k in range(1, K)] + [(f"b{k}", (widths[k],)) for k in range(K)]
+    shapes += [("w", (widths[-1],)), ("u", (n,)), ("c", ())]
+    stops = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+    slots = {name: (slice(stops[i], stops[i + 1]), shape) for i, (name, shape) in enumerate(shapes)}
+    constrained = [f"W{k}" for k in range(1, K)] + ["w"]
+    lower = np.concatenate([np.full(math.prod(s), 0.0 if name in constrained else -np.inf) for name, s in shapes])
+    lower.flags.writeable = False
+    return Layout(slots, lower)
+
+
 class ICNNParams:
-    """Constrained parameter set. Treated as an immutable value between steps."""
+    """Parameters as one contiguous float64 vector `flat`, laid out by layout(n, widths). W (K
+    matrices: W[0] is m1 x n, W[k] is m_{k+1} x m_k), U (K-1 matrices: U[k-1] is m_{k+1} x n),
+    b (K bias vectors), w (length m_K) and u (length n) are views into flat; c is its last
+    entry. Treated as an immutable value between steps."""
 
-    W: tuple  # K matrices: W[0] is m1 x n, W[k] is m_{k+1} x m_k
-    U: tuple  # K-1 matrices: U[k-1] is m_{k+1} x n
-    b: tuple  # K bias vectors
-    w: np.ndarray  # length m_K
-    u: np.ndarray  # length n
-    c: float
-    widths: tuple
+    def __init__(self, flat, n, widths):
+        self.flat, self.n, self.widths, self.c = flat, n, widths, float(flat[-1])
+        self._views = {name: flat[sl].reshape(shape) for name, (sl, shape) in layout(n, widths).slots.items()}
+        self.W, self.U, self.b = (tuple(v for name, v in self._views.items() if name[0] == p) for p in "WUb")
+        self.w, self.u = self._views["w"], self._views["u"]
 
-    @property
-    def n(self):
-        return self.W[0].shape[1]
+    def __reduce__(self):  # copies and pickles rebuild the views on the copied vector
+        return ICNNParams, (self.flat, self.n, self.widths)
+
+    def __getitem__(self, name):
+        return self._views[name]
 
     def arrays(self):
-        """Flat (name, array) view in a fixed order; c as a 0-d array."""
-        out = []
-        for k, m in enumerate(self.W):
-            out.append((f"W{k}", m))
-        for k, m in enumerate(self.U):
-            out.append((f"U{k + 1}", m))
-        for k, v in enumerate(self.b):
-            out.append((f"b{k}", v))
-        out.append(("w", self.w))
-        out.append(("u", self.u))
-        out.append(("c", np.asarray(self.c, dtype=np.float64)))
-        return out
+        """(name, view) pairs in layout order; c as a 0-d view."""
+        return list(self._views.items())
 
 
 def _validate_widths(n, widths):
@@ -64,17 +77,6 @@ def _validate_widths(n, widths):
     return widths
 
 
-def _shapes(n, widths):
-    """Array shapes by name, in arrays() order."""
-    K = len(widths)
-    shapes = {"W0": (widths[0], n)}
-    shapes.update({f"W{k}": (widths[k], widths[k - 1]) for k in range(1, K)})
-    shapes.update({f"U{k}": (widths[k], n) for k in range(1, K)})
-    shapes.update({f"b{k}": (widths[k],) for k in range(K)})
-    shapes.update(w=(widths[-1],), u=(n,), c=())
-    return shapes
-
-
 def init(n, widths=(64, 64), seed=0) -> ICNNParams:
     """Glorot-uniform init (a vector counts as one column); biases and c start at 0.
 
@@ -84,42 +86,32 @@ def init(n, widths=(64, 64), seed=0) -> ICNNParams:
     """
     widths = _validate_widths(n, widths)
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in _shapes(n, widths).items():
-        if name[0] in "bc":
-            arrays[name] = np.zeros(shape)
-            continue
-        a = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
-        draw = rng.uniform(-a, a, shape)
-        nonneg = name == "w" or (name[0] == "W" and name != "W0")
-        arrays[name] = np.abs(draw) if nonneg else draw
-    probe = from_arrays(arrays, widths)
-    return replace(probe, c=-forward(probe, np.full(n, 1.0 / n)) - 2.0)
+    table = layout(n, widths)
+    flat = np.zeros(table.lower.size)
+    for name, (sl, shape) in table.slots.items():
+        if name[0] not in "bc":
+            a = np.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+            flat[sl] = rng.uniform(-a, a, shape).reshape(-1)
+    flat = np.where(table.lower == 0.0, np.abs(flat), flat)
+    flat[-1] = -forward(ICNNParams(flat, n, widths), np.full(n, 1.0 / n)) - 2.0
+    return ICNNParams(flat, n, widths)
 
 
 def project_constraints(theta: ICNNParams) -> ICNNParams:
     """Clamp every constrained entry at zero. Idempotent."""
-    W = (theta.W[0],) + tuple(np.maximum(m, 0.0) for m in theta.W[1:])
-    return ICNNParams(W, theta.U, theta.b, np.maximum(theta.w, 0.0), theta.u, theta.c, theta.widths)
-
-
-def params_to_nodes(theta: ICNNParams) -> dict:
-    """Differentiable autodiff leaves for every parameter array."""
-    return {name: ad.param(arr) for name, arr in theta.arrays()}
+    return ICNNParams(np.maximum(theta.flat, layout(theta.n, theta.widths).lower), theta.n, theta.widths)
 
 
 def from_arrays(arrays, widths) -> ICNNParams:
-    """Rebuild parameters from a flat name -> array mapping (see arrays())."""
-    K = len(widths)
-    return ICNNParams(
-        tuple(arrays[f"W{k}"] for k in range(K)),
-        tuple(arrays[f"U{k}"] for k in range(1, K)),
-        tuple(arrays[f"b{k}"] for k in range(K)),
-        arrays["w"],
-        arrays["u"],
-        float(arrays["c"]),
-        tuple(widths),
-    )
+    """Pack a name -> array mapping (see arrays()) into one vector, n being the length of u.
+    DimensionError if an array's shape does not match layout(n, widths)."""
+    n = np.size(arrays["u"])
+    widths = _validate_widths(n, widths)
+    slots = layout(n, widths).slots
+    for name, (_, shape) in slots.items():
+        if np.shape(arrays[name]) != shape:
+            raise DimensionError(f"{name}: expected shape {shape}, got {np.shape(arrays[name])}")
+    return ICNNParams(np.concatenate([arrays[name] for name in slots], axis=None, dtype=np.float64), n, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +197,12 @@ def from_json(text) -> ICNNParams:
         doc = json.loads(text)
         if doc.get("format") != "icnn-params" or doc.get("version") != 1:
             raise ConfigError("unrecognised parameter document")
-        n = int(doc["n"])
-        widths = _validate_widths(n, doc["widths"])
         arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}
-        theta = from_arrays(arrays, widths)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        theta = from_arrays(arrays, doc["widths"])
+        if theta.n != int(doc["n"]):
+            raise DimensionError(f"n is {doc['n']!r}, but u has length {theta.n}")
+    except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed parameter document: {exc!r}") from None
-    if [arr.shape for _, arr in theta.arrays()] != list(_shapes(n, widths).values()):
-        raise ConfigError("malformed parameter document: array shapes do not match n and widths")
     return theta
 
 

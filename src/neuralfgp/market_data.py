@@ -40,12 +40,8 @@ class PricePath:
             raise DataError("dates must be strictly increasing")
         if not np.all(p > 0):
             r, c = np.argwhere(~(p > 0))[0]
-            raise DataError(f"non-positive price at row {r}, column {self.tickers[c]!r}")
+            raise DataError(f"non-positive price at date {self.dates[r]}, column {self.tickers[c]!r}")
         object.__setattr__(self, "prices", p)
-
-    @property
-    def n_assets(self):
-        return self.prices.shape[1]
 
 
 @dataclass(frozen=True)
@@ -128,24 +124,26 @@ def load_prices_csv(path, tickers=None) -> PricePath:
     try:
         with open(path, newline="") as fh:
             return _parse_prices(fh, tickers, str(path))
-    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-text file
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # a missing, unreadable, non-text or malformed file
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def parse_prices_csv(text, tickers=None) -> PricePath:
     """Same as load_prices_csv but from an in-memory string."""
-    return _parse_prices(io.StringIO(text), tickers, "<string>")
+    try:
+        return _parse_prices(io.StringIO(text, newline=""), tickers, "<string>")
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"<string>: malformed CSV: {exc}") from None
 
 
 def _parse_prices(fh, tickers, name):
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{name}: empty CSV") from None
+    header = next(reader, [])
     if len(header) < 3 or header[0].strip().lower() != "date":
         raise DataError(f"{name}: expected header 'date,<ticker>,...' with >= 2 tickers")
     available = [h.strip() for h in header[1:]]
+    if len(set(available)) < len(available):
+        raise DataError(f"{name}: duplicate tickers in header {available}")
     if tickers is None:
         tickers = available
     missing = [t for t in tickers if t not in available]
@@ -175,7 +173,7 @@ def _parse_prices(fh, tickers, name):
             parsed.append(value)
         date = row[0].strip()
         # synthetic CSVs carry integer day indices; restore them so ordering is numeric
-        dates.append(int(date) if date.lstrip("-").isdigit() else date)
+        dates.append(int(date) if date.removeprefix("-").isdecimal() else date)
         rows.append(parsed)
 
     prices = np.array(rows, dtype=np.float64)
@@ -196,11 +194,10 @@ def _parse_prices(fh, tickers, name):
         raise DataError(f"{name}: unfillable missing value at data row {r}")
     if prices.shape[0] < 2:
         raise DataError(f"{name}: fewer than 2 usable rows after forward-fill")
-    bad = np.argwhere(~(prices > 0))
-    if bad.size:
-        r, c = bad[0]
-        raise DataError(f"{name}: non-positive price at date {dates[r]}, column {tickers[c]!r}")
-    return PricePath(dates, prices, list(tickers))
+    try:
+        return PricePath(dates, prices, list(tickers))
+    except DataError as exc:  # name the file in PricePath's own checks
+        raise DataError(f"{name}: {exc}") from None
 
 
 def write_prices_csv(path, price_path: PricePath):

@@ -9,7 +9,7 @@ path functional, so every epoch takes one gradient step on the whole window.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ POS_WEIGHT = 1.0  # hinge coefficient
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# a numerical breakdown surfaces as NumericError from a finiteness check, not as numpy warnings
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -41,17 +44,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray  # first-moment estimate, a flat vector in the parameter layout
+    v: np.ndarray  # second-moment estimate, likewise
     step: int = 0
 
     @classmethod
     def for_params(cls, theta: icnn.ICNNParams):
-        state = cls()
-        for name, arr in theta.arrays():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(np.zeros_like(theta.flat), np.zeros_like(theta.flat))
 
 
 @dataclass(frozen=True)
@@ -114,21 +113,24 @@ def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
     return total, parts
 
 
+@_quiet
 def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
-    """Loss value and parts at theta, without differentiating."""
-    nodes = icnn.params_to_nodes(theta)
+    """Loss value and parts at theta, without differentiating. The parts may be non-finite."""
+    nodes = {name: ad.param(arr) for name, arr in theta.arrays()}
     _, parts = build_loss(nodes, window_weights, cfg, theta.widths)
     return parts
 
 
+@_quiet
 def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
-    """Loss parts plus d(loss)/d(array) for every array, in straight-line numpy.
+    """Loss parts plus d(loss)/d(theta), an ICNNParams of theta's layout, in straight-line numpy.
 
     The forward pass is fgp.neural_map plus the loss terms. The reverse pass applies
     at each node the vector-Jacobian product the autodiff tape applies there, in
     the same formula and operand layout. Every node has at most two consumers
     and IEEE addition commutes, so the result is bit-identical to
-    ad.backward over build_loss, which stays as the reference.
+    ad.backward over build_loss, which stays as the reference. NumericError if the
+    loss or a gradient entry is not finite.
     """
     W = _window(window_weights)
     T = W.shape[0] - 1
@@ -191,25 +193,34 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     grads = {f"W{k}": d_W[k] for k in range(K)}
     grads.update({f"U{k}": d_U[k] for k in range(1, K)})
     grads.update({f"b{k}": d_b[k] for k in range(K)})
-    grads.update(w=d_w, u=X.T @ d_f + d_grad.sum(axis=0), c=np.asarray(d_f.sum(axis=0)))
+    grads.update(w=d_w, u=X.T @ d_f + d_grad.sum(axis=0), c=d_f.sum(axis=0))
+    grads = icnn.from_arrays(grads, theta.widths)
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("training gradient is not finite")
     return parts, grads
 
 
-def adam_step(theta: icnn.ICNNParams, grads, state: AdamState, cfg: TrainConfig):
-    """Standard Adam with bias correction, then the convexity projection."""
+@_quiet
+def adam_step(theta: icnn.ICNNParams, grads: icnn.ICNNParams, state: AdamState, cfg: TrainConfig):
+    """Standard Adam with bias correction on the flat vector, then the convexity projection.
+
+    state.m and state.v are updated in place; theta is not, as train_window may keep it as
+    its best iterate. NumericError if the step overflows.
+    """
     state.step += 1
     t = state.step
     lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
-    updated = {}
-    for name, arr in theta.arrays():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        updated[name] = arr - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    new_theta = icnn.from_arrays(updated, theta.widths)
-    return icnn.project_constraints(new_theta), state
+    g = grads.flat
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g * g
+    m_hat = state.m / (1.0 - b1**t)
+    v_hat = state.v / (1.0 - b2**t)
+    updated = theta.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    if not np.isfinite(updated).all():
+        raise NumericError("training step is not finite")
+    return icnn.project_constraints(icnn.ICNNParams(updated, theta.n, theta.widths)), state
 
 
 def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
@@ -228,8 +239,7 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
         if parts.total < best_loss:
             best_loss, best_theta = parts.total, theta
         theta, state = adam_step(theta, grads, state, cfg)
-    final_parts = loss(theta, window_weights, cfg)
-    if final_parts.total < best_loss:
+    if loss(theta, window_weights, cfg).total < best_loss:
         best_theta = theta
     return best_theta, log_rows
 

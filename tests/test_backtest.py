@@ -192,6 +192,32 @@ def test_walk_forward_parallel_matches_serial():
         np.testing.assert_array_equal(a.terminal[label], b.terminal[label])
 
 
+def test_walk_forward_pool_has_at_most_one_worker_per_window(monkeypatch):
+    # a fake pool records its size and maps serially, so no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(backtest, "ProcessPoolExecutor", SerialPool)
+    path = weights_from_gbm(n_assets=2, n_days=70, seed=9)
+    a = backtest.walk_forward(path, fast_walk_config(warm_start=False, jobs=1))
+    b = backtest.walk_forward(path, fast_walk_config(warm_start=False, jobs=99999999999))
+    assert sizes == [a.n_windows]
+    for label in a.labels:
+        np.testing.assert_array_equal(a.terminal[label], b.terminal[label])
+
+
 # --- report files ----------------------------------------------------------------
 
 

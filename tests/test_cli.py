@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,12 +207,14 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # a malformed item in a comma-separated list
         ({}, ["backtest", "--p-vals", "0.5,abc"], 2),
         ({}, ["backtest", "--widths", "4,x"], 2),
+        # a learning rate so large that the third Adam step overflows the parameters
+        ({}, ["train", "--n", "3", "--days", "60", *FAST, "--epochs", "3", "--lr", "1e308", "--out", "{tmp}/run"], 4),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
-        "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int",
+        "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "lr-overflows-step",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -228,6 +231,16 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_overflow_inside_training_prints_no_warning(tmp_path, capsys):
+    # at lr 1e300 the second epoch squares G past the float range inside the loss adjoint;
+    # the gradient stays finite (that term goes to 0), so training ends normally and quietly
+    argv = ["train", "--n", "3", "--days", "60", *FAST, "--lr", "1e300", "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--p-vals", "0.5,abc"), ("--widths", "4,x")])

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn, training
 from neuralfgp.errors import ConfigError, NumericError
-from test_icnn import zero_params
+from test_icnn import with_arrays, zero_params
 
 
 def random_simplex(rng, n, size=None):
@@ -172,7 +170,7 @@ def test_neural_hessian_matches_one_layer_closed_form():
     # G = -f is -W0^T diag(w * s(p) (1 - s(p))) W0, s the logistic sigmoid
     rng = np.random.default_rng(31)
     theta = icnn.init(4, (6,), seed=12)
-    theta = icnn.ICNNParams(theta.W, theta.U, (rng.normal(size=6),), theta.w, theta.u, theta.c, theta.widths)
+    theta = with_arrays(theta, b0=rng.normal(size=6))
     gen = fgp.Generator("neural", theta=theta)
     for x in random_simplex(rng, 4, 5):
         s = 1.0 / (1.0 + np.exp(-(theta.W[0] @ x + theta.b[0])))
@@ -210,7 +208,7 @@ def jacobian_recursion_hessian(theta, x):
 def test_neural_hessian_matches_jacobian_recursion(widths):
     rng = np.random.default_rng(32)
     theta = icnn.init(4, widths, seed=13)
-    theta = replace(theta, b=tuple(rng.normal(size=m) for m in widths))
+    theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
     gen = fgp.Generator("neural", theta=theta)
     X = random_simplex(rng, 4, 6)
     ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
@@ -222,7 +220,7 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     # row i of the Hessian of f is d(grad f)/dx_i; grad f is the numpy input-gradient recursion
     rng = np.random.default_rng(33)
     theta = icnn.init(4, widths, seed=14)
-    theta = replace(theta, b=tuple(rng.normal(size=m) for m in widths))
+    theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
     gen = fgp.Generator("neural", theta=theta)
 
     def grad_f(X):
@@ -236,7 +234,7 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
 
 
 def test_numpy_paths_build_no_autodiff_node(monkeypatch):
-    # only training.build_loss (through loss()) and icnn.params_to_nodes may build tape nodes
+    # only training.loss(), which builds the tape leaves and build_loss's graph, may build tape nodes
     def refuse(self, *args, **kwargs):
         raise AssertionError("an autodiff Node was built")
 
@@ -271,7 +269,7 @@ def test_weights_dispatch():
 def test_neural_weights_property(n, seed, c_shift, data):
     # init puts G = 2 at the uniform point, so c_shift >= 2 drives G at or below G_FLOOR there
     theta = icnn.init(n, (8, 8), seed=seed)
-    theta = replace(theta, c=theta.c + c_shift)
+    theta = with_arrays(theta, c=theta.c + c_shift)
     cell = st.one_of(st.just(1e-12), st.floats(1e-12, 1.0))
     rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=4))
     X = np.array(rows) / np.sum(rows, axis=1, keepdims=True)

@@ -1,4 +1,7 @@
+import base64
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,27 +10,15 @@ from neuralfgp import fgp, icnn
 from neuralfgp.errors import ConfigError, DimensionError
 
 
-def make_params(W, U, b, w, u, c):
-    W = tuple(np.asarray(m, dtype=np.float64) for m in W)
-    widths = tuple(m.shape[0] for m in W)
-    return icnn.ICNNParams(
-        W,
-        tuple(np.asarray(m, dtype=np.float64) for m in U),
-        tuple(np.asarray(v, dtype=np.float64) for v in b),
-        np.asarray(w, dtype=np.float64),
-        np.asarray(u, dtype=np.float64),
-        float(c),
-        widths,
-    )
-
-
 def zero_params(n=2, widths=(3,), c=0.0, u=None):
-    W = [np.zeros((widths[0], n))] + [
-        np.zeros((widths[k], widths[k - 1])) for k in range(1, len(widths))
-    ]
-    U = [np.zeros((widths[k], n)) for k in range(1, len(widths))]
-    b = [np.zeros(m) for m in widths]
-    return make_params(W, U, b, np.zeros(widths[-1]), u if u is not None else np.zeros(n), c)
+    arrays = {name: np.zeros(shape) for name, (_, shape) in icnn.layout(n, widths).slots.items()}
+    arrays.update(u=np.zeros(n) if u is None else u, c=c)
+    return icnn.from_arrays(arrays, widths)
+
+
+def with_arrays(theta, **changes):
+    """theta with the named arrays replaced, as a new parameter vector."""
+    return icnn.from_arrays({**dict(theta.arrays()), **changes}, theta.widths)
 
 
 def random_simplex(rng, n, size=None):
@@ -55,6 +46,51 @@ def test_init_deterministic():
     b = icnn.init(3, (4, 4), seed=9)
     for (_, x), (_, y) in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
+
+
+# --- flat parameter vector --------------------------------------------------
+
+
+def test_named_arrays_are_views_of_the_flat_vector():
+    theta = icnn.init(3, (4, 5), seed=2)
+    assert theta.flat.dtype == np.float64 and theta.flat.flags.c_contiguous
+    for arr in [*theta.W, *theta.U, *theta.b, theta.w, theta.u] + [arr for _, arr in theta.arrays()]:
+        assert np.shares_memory(arr, theta.flat)
+    assert sum(arr.size for _, arr in theta.arrays()) == theta.flat.size
+    for name, arr in theta.arrays():
+        assert theta[name] is arr
+    assert theta.c == theta["c"] == theta.flat[-1]
+
+
+def test_arrays_order_matches_to_json():
+    theta = icnn.init(3, (4, 5), seed=2)
+    doc = json.loads(icnn.to_json(theta))["arrays"]
+    names = [name for name, _ in theta.arrays()]
+    assert sorted(names) == sorted(doc)
+    assert [doc[name]["shape"] for name in names] == [list(arr.shape) for _, arr in theta.arrays()]
+    packed = b"".join(base64.b64decode(doc[name]["data"]) for name in names)
+    assert packed == theta.flat.tobytes()
+
+
+def test_lower_bounds_are_zero_exactly_on_the_constrained_arrays():
+    table = icnn.layout(3, (4, 5, 6))
+    for name, (sl, _) in table.slots.items():
+        constrained = name == "w" or (name[0] == "W" and name != "W0")
+        assert (table.lower[sl] == (0.0 if constrained else -np.inf)).all(), name
+
+
+def test_from_arrays_rejects_a_wrong_shape():
+    theta = icnn.init(3, (4,), seed=0)
+    with pytest.raises(DimensionError, match="W0"):
+        with_arrays(theta, W0=np.zeros((3, 4)))
+
+
+def test_copies_keep_their_views_on_their_own_vector():
+    theta = icnn.init(3, (4, 5), seed=2)
+    for copied in (copy.deepcopy(theta), pickle.loads(pickle.dumps(theta))):
+        assert copied.flat.tobytes() == theta.flat.tobytes()
+        assert not np.shares_memory(copied.flat, theta.flat)
+        assert all(np.shares_memory(arr, copied.flat) for _, arr in copied.arrays())
 
 
 # --- forward ----------------------------------------------------------------
@@ -169,15 +205,7 @@ def test_grad_log_g_matches_finite_differences(depth, width):
 
 def test_project_clamps_and_is_idempotent():
     theta = icnn.init(3, (4, 4), seed=2)
-    dirty = icnn.ICNNParams(
-        (theta.W[0], theta.W[1] - 0.3),
-        theta.U,
-        theta.b,
-        theta.w - 0.5,
-        theta.u,
-        theta.c,
-        theta.widths,
-    )
+    dirty = with_arrays(theta, W1=theta.W[1] - 0.3, w=theta.w - 0.5)
     once = icnn.project_constraints(dirty)
     assert once.W[1].min() >= 0
     assert once.w.min() >= 0

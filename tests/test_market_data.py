@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfgp import market_data as md
 from neuralfgp.errors import ConfigError, DataError
@@ -150,3 +152,85 @@ def test_csv_round_trip(tmp_path):
     md.write_prices_csv(f, path)
     back = md.load_prices_csv(f)
     np.testing.assert_array_equal(back.prices, path.prices)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "date,AAA,BBB\n1,10,20\n2,11,21\n3,12,22\n",
+        "date,AAA,BBB\r1,10,20\r2,11,21\r3,12,22\r",
+        "date,AAA,BBB\r\n1,10,20\r\n2,11,21\r\n3,12,22\r\n",
+    ],
+    ids=["lf", "cr", "crlf"],
+)
+def test_csv_line_endings_parse_alike(text):
+    path = md.parse_prices_csv(text)
+    assert path.dates == [1, 2, 3]
+    np.testing.assert_array_equal(path.prices, [[10, 20], [11, 21], [12, 22]])
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("date,AAA,BBB\n1," + "9" * 200_000 + ",20\n2,11,21\n", "malformed CSV"),
+        ("date,AAA,AAA\n1,10,20\n2,11,21\n", "duplicate tickers"),
+        # neither is an integer day index, so they are date strings and cannot follow an integer
+        ("date,AAA,BBB\n1,10,20\n\u00b2,11,21\n", "mix integer"),
+        ("date,AAA,BBB\n1,10,20\n--5,11,21\n", "mix integer"),
+        # PricePath's own checks name the source too
+        ("date,AAA,BBB\n2,10,20\n1,11,21\n", "^<string>: dates must be strictly increasing"),
+    ],
+    ids=["field-over-limit", "duplicate-ticker", "superscript-date", "double-minus-date", "dates-out-of-order"],
+)
+def test_csv_malformed_text_is_data_error(text, match):
+    with pytest.raises(DataError, match=match):
+        md.parse_prices_csv(text)
+
+
+def test_load_csv_field_over_limit_is_data_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("date,AAA,BBB\n1," + "9" * 200_000 + ",20\n2,11,21\n")
+    with pytest.raises(DataError, match="cannot read.*field larger"):
+        md.load_prices_csv(path)
+
+
+DEFECTS = st.one_of(
+    st.sampled_from(["", " ", " 3 ", "0", "-1", "nan", "inf", "1e400", "abc", '"4"', "2024-01-02"]),
+    st.floats().map(repr),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Price CSVs that are mostly well formed, with random defects in the header, row
+    lengths, cells, dates and line ends."""
+    sometimes = lambda: draw(st.integers(0, 7)) == 0
+    width = 1 if sometimes() else draw(st.integers(2, 4))
+    header = ["date" if not sometimes() else draw(st.sampled_from([" Date ", "day", ""]))]
+    header += draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC", "DDD", ""]), min_size=width, max_size=width, unique=not sometimes()))
+    if sometimes():
+        dates = draw(st.lists(st.sampled_from(["2024-01-02", "2024-01-03", "-", "--5", "x", "\u00b2"]), max_size=6))
+    else:
+        dates = sorted(draw(st.lists(st.integers(-3, 40), unique=True, min_size=2, max_size=6)))
+    rows = []
+    for d in dates:
+        cells = draw(st.lists(st.floats(1e-3, 1e6).map(repr), min_size=width, max_size=width))
+        if sometimes():
+            cells[draw(st.integers(0, width - 1))] = draw(DEFECTS)
+        if sometimes():
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        rows.append([str(d)] + cells)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(",".join(row) for row in [header] + rows) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(st.text(max_size=40), csv_texts()))
+def test_random_csv_text_gives_price_path_or_data_error(text):
+    try:
+        path = md.parse_prices_csv(text)
+    except DataError:
+        return
+    assert path.prices.shape == (len(path.dates), len(path.tickers))
+    assert np.isfinite(path.prices).all() and (path.prices > 0).all()

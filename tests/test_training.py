@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn, training
 from neuralfgp.errors import ConfigError, NumericError
-from test_icnn import zero_params
+from test_icnn import with_arrays, zero_params
 
 
 def random_window(rng, n, rows):
@@ -97,10 +99,10 @@ def test_full_loss_gradient_matches_finite_differences():
 
 def tape_loss_gradients(theta, window, cfg):
     """The reference: one reverse pass of the autodiff tape over build_loss."""
-    nodes = icnn.params_to_nodes(theta)
+    nodes = {name: ad.param(arr) for name, arr in theta.arrays()}
     total, parts = training.build_loss(nodes, window, cfg, theta.widths)
     ad.backward(total)
-    return parts, {name: node.grad for name, node in nodes.items()}
+    return parts, icnn.from_arrays({name: node.grad for name, node in nodes.items()}, theta.widths)
 
 
 def random_case(rng, case):
@@ -147,10 +149,8 @@ def test_loss_gradients_bit_identical_to_tape():
         ref_parts, ref_grads = tape_loss_gradients(theta, window, cfg)
         parts, grads = training.loss_gradients(theta, window, cfg)
         assert parts == ref_parts, case
-        assert list(grads) == list(ref_grads), case
-        for name, ref in ref_grads.items():
-            assert np.shape(grads[name]) == np.shape(ref), (case, name)
-            assert np.array_equal(grads[name], ref), (case, name)
+        for (name, got), (_, ref) in zip(grads.arrays(), ref_grads.arrays()):
+            assert np.array_equal(got, ref), (case, name)
         nets = binding_nets(theta, window)
         for net, binds in nets.items():
             bound[net] += binds
@@ -164,6 +164,30 @@ def test_loss_gradients_non_finite_loss_is_numeric_error():
     window = np.array([[0.5, 0.5], [np.inf, 0.5]])
     with pytest.raises(NumericError):
         training.loss_gradients(theta, window, training.TrainConfig())
+
+
+def test_loss_gradients_non_finite_gradient_is_numeric_error():
+    # a dead first unit with a huge output weight: the loss stays finite, but the
+    # adjoint of its activation overflows and meets a zero sigmoid slope
+    theta = icnn.init(3, (2,), seed=0)
+    W0 = theta.W[0].copy()
+    W0[0, 0] = -1e300
+    theta = with_arrays(theta, W0=W0, w=np.array([1e300, theta.w[1]]))
+    window = np.random.default_rng(0).dirichlet(np.ones(3), 5)
+    cfg = training.TrainConfig()
+    assert np.isfinite(training.loss(theta, window, cfg).total)
+    with pytest.raises(NumericError, match="gradient"):
+        training.loss_gradients(theta, window, cfg)
+
+
+def test_overflowing_adam_step_is_numeric_error():
+    theta = icnn.init(2, (3,), seed=1)
+    state = training.AdamState.for_params(theta)
+    grads = icnn.ICNNParams(np.ones_like(theta.flat), theta.n, theta.widths)
+    cfg = training.TrainConfig(learning_rate=1.7e308)
+    theta, state = training.adam_step(theta, grads, state, cfg)
+    with pytest.raises(NumericError, match="step"):
+        training.adam_step(theta, grads, state, cfg)
 
 
 def test_train_window_matches_tape_loop():
@@ -192,37 +216,76 @@ def test_train_window_matches_tape_loop():
 # --- Adam -------------------------------------------------------------------
 
 
+def zero_grads(theta, **changes):
+    return with_arrays(icnn.ICNNParams(np.zeros_like(theta.flat), theta.n, theta.widths), **changes)
+
+
 def test_adam_zero_gradient_leaves_params():
     theta = icnn.init(2, (3,), seed=1)
     state = training.AdamState.for_params(theta)
-    grads = {name: np.zeros_like(arr) for name, arr in theta.arrays()}
-    new_theta, state = training.adam_step(theta, grads, state, training.TrainConfig())
+    new_theta, state = training.adam_step(theta, zero_grads(theta), state, training.TrainConfig())
     assert state.step == 1
-    for (_, a), (_, b) in zip(theta.arrays(), new_theta.arrays()):
-        assert np.array_equal(a, b)
+    assert new_theta.flat.tobytes() == theta.flat.tobytes()
 
 
 def test_adam_first_step_magnitude():
     # unit gradient on the scalar offset: bias-corrected update is lr exactly
     theta = zero_params(n=2, widths=(2,), c=-5.0)
     state = training.AdamState.for_params(theta)
-    grads = {name: np.zeros_like(arr) for name, arr in theta.arrays()}
-    grads["c"] = np.asarray(1.0)
     cfg = training.TrainConfig(learning_rate=0.1)
-    new_theta, _ = training.adam_step(theta, grads, state, cfg)
+    new_theta, _ = training.adam_step(theta, zero_grads(theta, c=1.0), state, cfg)
     assert new_theta.c == pytest.approx(-5.0 - 0.1, rel=1e-7)
 
 
 def test_adam_projection_clamps_constrained_entries():
     theta = icnn.project_constraints(icnn.init(2, (2, 2), seed=3))
     state = training.AdamState.for_params(theta)
-    grads = {name: np.zeros_like(arr) for name, arr in theta.arrays()}
-    grads["W1"] = np.full_like(theta.W[1], 100.0)  # pushes W1 negative
-    grads["w"] = np.full_like(theta.w, 100.0)
+    # pushes W1 and w negative
+    grads = zero_grads(theta, W1=np.full_like(theta.W[1], 100.0), w=np.full_like(theta.w, 100.0))
     cfg = training.TrainConfig(learning_rate=1.0)
     new_theta, _ = training.adam_step(theta, grads, state, cfg)
     assert new_theta.W[1].min() >= 0
     assert new_theta.w.min() >= 0
+
+
+def adam_step_per_array(theta, grads, state, cfg):
+    """Adam and the projection one named array at a time: the oracle for the flat update."""
+    state.step += 1
+    t = state.step
+    lr, b1, b2 = cfg.learning_rate, training.ADAM_BETA1, training.ADAM_BETA2
+    updated = {}
+    for name, arr in theta.arrays():
+        g = grads[name]
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        m_hat = state.m[name] / (1.0 - b1**t)
+        v_hat = state.v[name] / (1.0 - b2**t)
+        updated[name] = arr - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+        if name == "w" or (name[0] == "W" and name != "W0"):
+            updated[name] = np.maximum(updated[name], 0.0)
+    return icnn.from_arrays(updated, theta.widths)
+
+
+def test_flat_adam_matches_per_array_loop_bit_for_bit():
+    rng = np.random.default_rng(14)
+    theta = ref_theta = icnn.init(4, (6, 5), seed=7)
+    constrained = icnn.layout(theta.n, theta.widths).lower == 0.0
+    cfg = training.TrainConfig(learning_rate=0.05)
+    state = training.AdamState.for_params(theta)
+    m, v = state.m, state.v
+    zeros = {name: np.zeros_like(arr) for name, arr in theta.arrays()}
+    ref_state = SimpleNamespace(m=dict(zeros), v=dict(zeros), step=0)
+    clamped = 0
+    for _ in range(20):
+        grads = icnn.ICNNParams(rng.normal(size=theta.flat.size), theta.n, theta.widths)
+        theta, state = training.adam_step(theta, grads, state, cfg)
+        ref_theta = adam_step_per_array(ref_theta, grads, ref_state, cfg)
+        assert theta.flat.tobytes() == ref_theta.flat.tobytes()
+        assert state.m is m and state.v is v  # the moments are updated in place
+        clamped += np.count_nonzero(theta.flat[constrained] == 0.0)
+    assert state.m.tobytes() == np.concatenate(list(ref_state.m.values()), axis=None).tobytes()
+    assert state.v.tobytes() == np.concatenate(list(ref_state.v.values()), axis=None).tobytes()
+    assert clamped > 0  # the projection bound on some step
 
 
 # --- train_window -----------------------------------------------------------
