@@ -231,11 +231,12 @@ def read_summary_csv(path):
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+SVG_WIDTH, SVG_HEIGHT = 880, 460  # chart size in px
 
 
-def write_svg(path, report: WalkForwardReport, width=880, height=460):
+def write_svg(path, report: WalkForwardReport):
     """Single-file line chart of per-window terminal relative wealth."""
-    pad = 60
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 60
     ks = np.arange(1, report.n_windows + 1)
     all_v = np.concatenate([report.terminal[l] for l in report.labels])
     lo, hi = float(all_v.min()), float(all_v.max())

@@ -2,8 +2,8 @@
 
 Every flag has a config-file equivalent (flat key=value lines, keys in
 snake_case); command-line flags override file values. All randomness funnels
-through one master seed with fixed offsets for data simulation and per-window
-training.
+through one master seed: it seeds the data simulation itself and per-window
+training at the fixed offset TRAIN_SEED_OFFSET.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import backtest, icnn, market_data, training
-from .errors import ConfigError, DataError, NeuralFgpError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-DATA_SEED_OFFSET = 0
 TRAIN_SEED_OFFSET = 1000
 
 
@@ -120,22 +119,20 @@ def build_run_config(args):
     return RunConfig(**values)
 
 
+def _simulate(cfg: RunConfig):
+    return market_data.gbm_simulate(market_data.GbmConfig(n_assets=cfg.n, n_days=cfg.days, seed=cfg.seed))
+
+
 def _load_weights(cfg: RunConfig):
     """Market weights from the configured source (CSV or seeded GBM)."""
-    if cfg.use_real or cfg.data_path:
-        if not cfg.data_path:
-            raise ConfigError("use_real requires --data (a price CSV); live fetching is opt-in via `fetch`")
-        prices = market_data.load_prices_csv(cfg.data_path)
-        if cfg.use_real and cfg.y:
-            rows = 252 * cfg.y
-            if prices.prices.shape[0] > rows:
-                prices = market_data.PricePath(
-                    prices.dates[-rows:], prices.prices[-rows:], prices.tickers
-                )
-    else:
-        prices = market_data.gbm_simulate(
-            market_data.GbmConfig(n_assets=cfg.n, n_days=cfg.days, seed=cfg.seed + DATA_SEED_OFFSET)
-        )
+    if not (cfg.use_real or cfg.data_path):
+        return market_data.normalize_to_weights(_simulate(cfg))
+    if not cfg.data_path:
+        raise ConfigError("use_real requires --data (a price CSV); live fetching is opt-in via `fetch`")
+    prices = market_data.load_prices_csv(cfg.data_path)
+    if cfg.use_real:  # the last 252 * y rows, or the whole file if it is shorter
+        rows = 252 * cfg.y
+        prices = market_data.PricePath(prices.dates[-rows:], prices.prices[-rows:], prices.tickers)
     return market_data.normalize_to_weights(prices)
 
 
@@ -158,9 +155,7 @@ def _walk_config(cfg: RunConfig):
 
 def cmd_simulate(args):
     cfg = build_run_config(args)
-    prices = market_data.gbm_simulate(
-        market_data.GbmConfig(n_assets=cfg.n, n_days=cfg.days, seed=cfg.seed + DATA_SEED_OFFSET)
-    )
+    prices = _simulate(cfg)
     out = args.out or "prices.csv"
     market_data.write_prices_csv(out, prices)
     print(f"wrote {prices.prices.shape[0]} days x {prices.prices.shape[1]} assets (seed {cfg.seed}) to {out}")
@@ -305,8 +300,8 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NeuralFgpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # sizes numpy can index but this machine cannot hold
+        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # e.g. an output path under a missing directory or a regular file
         print(f"file error: {exc}", file=sys.stderr)

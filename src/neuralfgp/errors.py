@@ -2,7 +2,8 @@
 
 Each class maps to a CLI exit code: cli.main turns ConfigError into
 EXIT_CONFIG (2), DataError into EXIT_DATA (3) and NumericError into
-EXIT_NUMERIC (4).
+EXIT_NUMERIC (4). A MemoryError, from sizes too large for this machine, is
+EXIT_CONFIG too.
 """
 
 

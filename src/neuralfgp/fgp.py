@@ -69,12 +69,12 @@ class Generator:
 
 
 def raw_fgp_weights(grad_log_g, x) -> np.ndarray:
-    """pi_i = (g_i + 1 - sum_j x_j g_j) x_i. May go negative; always sums to 1."""
+    """pi_i = (g_i + (1 - sum_j x_j g_j)) x_i, associated as in training.build_loss. May go negative; sums to 1."""
     g = np.asarray(grad_log_g, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"raw_fgp_weights: gradient shape {g.shape} vs point shape {x.shape}")
-    return (g + 1.0 - np.sum(x * g, axis=-1, keepdims=True)) * x
+    return (g + (1.0 - np.sum(x * g, axis=-1, keepdims=True))) * x
 
 
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
@@ -164,33 +164,30 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# The neural weight map at each row of a batch X (m, n), with every intermediate its adjoint
-# reads: Z, S, A, D from icnn.forward_layers and icnn.input_gradient; -grad f; G = -f;
-# G_col = max(G, G_FLOOR) as a column; grad_log_g before the clip; g_low, the clip's first
-# half; the raw FGP weights; their floored values and row sums; and the weights pi.
-NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g g_low pi_raw pi_floored pi_sum pi")
+# The neural weight map at each row of a batch X (m, n), with every intermediate its adjoint reads:
+# Z, S, A, D from icnn.forward_layers and icnn.input_gradient; -grad f; G = -f; G_col = max(G,
+# G_FLOOR) as a column; grad_log_g before the clip; the raw FGP weights, floored and row-summed; pi.
+NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g pi_raw pi_floored pi_sum pi")
 
 
 def neural_map(theta: icnn.ICNNParams, X) -> NeuralMap:
     """Neural weights at each row of X: grad log G -> componentwise clip at +-GRAD_CLIP ->
-    generic FGP map -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise.
+    generic FGP map (raw_fgp_weights) -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise.
 
-    G is floored at G_FLOOR before the division. Every step has the operand order of
-    the autodiff graph of training.build_loss, so both give the same bits.
+    G is floored at G_FLOOR before the division. The values equal those of the autodiff graph of
+    training.build_loss bit for bit, though its nodes (the clip is two negated maxima) differ.
     """
     f, Z, S = icnn.forward_layers(theta, X)
     A, D, grad_f = icnn.input_gradient(theta, S)
-    neg_grad_f = grad_f * -1.0
-    G = f * -1.0
+    neg_grad_f = -grad_f
+    G = -f
     G_col = np.maximum(G, icnn.G_FLOOR).reshape(-1, 1)
     grad_log_g = neg_grad_f / G_col
-    g_low = np.maximum(grad_log_g, -GRAD_CLIP) * -1.0
-    g = np.maximum(g_low, -GRAD_CLIP) * -1.0
-    pi_raw = (g + (1.0 - (X * g).sum(axis=1, keepdims=True))) * X
+    pi_raw = raw_fgp_weights(np.clip(grad_log_g, -GRAD_CLIP, GRAD_CLIP), X)
     pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
     pi_sum = pi_floored.sum(axis=1, keepdims=True)
     pi = pi_floored / pi_sum
-    return NeuralMap(Z, S, A, D, neg_grad_f, G, G_col, grad_log_g, g_low, pi_raw, pi_floored, pi_sum, pi)
+    return NeuralMap(Z, S, A, D, neg_grad_f, G, G_col, grad_log_g, pi_raw, pi_floored, pi_sum, pi)
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import itertools
 import json
 import math
 from collections import namedtuple
@@ -37,7 +38,9 @@ def layout(n, widths) -> Layout:
     shapes = [("W0", (widths[0], n))] + [(f"W{k}", (widths[k], widths[k - 1])) for k in range(1, K)]
     shapes += [(f"U{k}", (widths[k], n)) for k in range(1, K)] + [(f"b{k}", (widths[k],)) for k in range(K)]
     shapes += [("w", (widths[-1],)), ("u", (n,)), ("c", ())]
-    stops = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+    stops = list(itertools.accumulate((math.prod(shape) for _, shape in shapes), initial=0))
+    if stops[-1] > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"widths {widths} give {stops[-1]} parameters, too many for one float64 array")
     slots = {name: (slice(stops[i], stops[i + 1]), shape) for i, (name, shape) in enumerate(shapes)}
     constrained = [f"W{k}" for k in range(1, K)] + ["w"]
     lower = np.concatenate([np.full(math.prod(s), 0.0 if name in constrained else -np.inf) for name, s in shapes])

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class GbmConfig:
             raise ConfigError("n_assets must be >= 2")
         if self.n_days < 2:
             raise ConfigError("n_days must be >= 2")
+        if self.n_assets * self.n_days > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"{self.n_days} days x {self.n_assets} assets do not fit in one float64 array")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.vol_range[0] <= 0:
@@ -115,41 +117,35 @@ def normalize_to_weights(path: PricePath) -> MarketWeightPath:
     return MarketWeightPath(path.dates, w, path.tickers)
 
 
-def load_prices_csv(path, tickers=None) -> PricePath:
-    """Read a wide-format price CSV: header `date,<t1>,<t2>,...`, empty cell = missing.
+def load_prices_csv(path) -> PricePath:
+    """Read every column of a wide-format price CSV: header `date,<t1>,<t2>,...`, empty cell = missing.
 
     Missing cells are forward-filled from the previous row; leading rows that
     still contain gaps are dropped.
     """
     try:
         with open(path, newline="") as fh:
-            return _parse_prices(fh, tickers, str(path))
+            return _parse_prices(fh, str(path))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # a missing, unreadable, non-text or malformed file
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def parse_prices_csv(text, tickers=None) -> PricePath:
+def parse_prices_csv(text) -> PricePath:
     """Same as load_prices_csv but from an in-memory string."""
     try:
-        return _parse_prices(io.StringIO(text, newline=""), tickers, "<string>")
+        return _parse_prices(io.StringIO(text, newline=""), "<string>")
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"<string>: malformed CSV: {exc}") from None
 
 
-def _parse_prices(fh, tickers, name):
+def _parse_prices(fh, name):
     reader = csv.reader(fh)
     header = next(reader, [])
     if len(header) < 3 or header[0].strip().lower() != "date":
         raise DataError(f"{name}: expected header 'date,<ticker>,...' with >= 2 tickers")
-    available = [h.strip() for h in header[1:]]
-    if len(set(available)) < len(available):
-        raise DataError(f"{name}: duplicate tickers in header {available}")
-    if tickers is None:
-        tickers = available
-    missing = [t for t in tickers if t not in available]
-    if missing:
-        raise DataError(f"{name}: unknown tickers {missing}; CSV has {available}")
-    cols = [available.index(t) for t in tickers]
+    tickers = [h.strip() for h in header[1:]]
+    if len(set(tickers)) < len(tickers):
+        raise DataError(f"{name}: duplicate tickers in header {tickers}")
 
     dates = []
     rows = []
@@ -159,8 +155,7 @@ def _parse_prices(fh, tickers, name):
         if len(row) != len(header):
             raise DataError(f"{name}: row {lineno} has {len(row)} fields, expected {len(header)}")
         parsed = []
-        for t, c in zip(tickers, cols):
-            cell = row[1 + c].strip()
+        for t, cell in zip(tickers, map(str.strip, row[1:])):
             if not cell:
                 parsed.append(np.nan)
                 continue
@@ -195,7 +190,7 @@ def _parse_prices(fh, tickers, name):
     if prices.shape[0] < 2:
         raise DataError(f"{name}: fewer than 2 usable rows after forward-fill")
     try:
-        return PricePath(dates, prices, list(tickers))
+        return PricePath(dates, prices, tickers)
     except DataError as exc:  # name the file in PricePath's own checks
         raise DataError(f"{name}: {exc}") from None
 

@@ -137,7 +137,7 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     X, ratios = W[:-1], W[1:] / W[:-1]
     Ws, Us, w = theta.W, (None,) + theta.U, theta.w
     K = len(Ws)
-    Z, S, A, D, neg_grad_f, G, G_col, g_raw, g_low, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X)
+    Z, S, A, D, neg_grad_f, G, G_col, g_raw, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X)
 
     # log wealth, penalty and hinge (build_loss)
     step_returns = (pi * ratios).sum(axis=1)
@@ -157,7 +157,7 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     d_floored = d_pi / pi_sum + (-d_pi * pi_floored / (pi_sum * pi_sum)).sum(axis=1, keepdims=True)
     d_gp = d_floored * (pi_raw > fgp.PORTFOLIO_WEIGHT_FLOOR) * X
     d_g = d_gp + -d_gp.sum(axis=1, keepdims=True) * X
-    d_g_raw = (d_g * -1.0 * (g_low > -fgp.GRAD_CLIP)) * -1.0 * (g_raw > -fgp.GRAD_CLIP)
+    d_g_raw = d_g * ((g_raw > -fgp.GRAD_CLIP) & (g_raw < fgp.GRAD_CLIP))
     d_G_col = (-d_g_raw * neg_grad_f / (G_col * G_col)).sum(axis=1, keepdims=True)
     # the hinge's mask is left out: slack is already zero wherever it is off
     d_G = d_G_col.reshape(T) * (G > icnn.G_FLOOR) + -(2.0 * (POS_WEIGHT / T) * slack)

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfgp import cli, icnn, market_data as md
 from neuralfgp.backtest import read_summary_csv
@@ -96,6 +101,15 @@ def test_train_insufficient_data_is_data_error(tmp_path, capsys):
     code = run(["train", "--n", "2", "--days", "10", "--out", str(out)] + FAST)
     assert code == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("train_days,code", [("251", 0), ("252", 3)])
+def test_use_real_keeps_the_last_252_rows_per_year(tmp_path, train_days, code):
+    # a 300-row CSV trimmed to one year: 251 training days need 252 rows, 252 need 253
+    prices = tmp_path / "prices.csv"
+    run(["simulate", "--n", "3", "--days", "300", "--seed", "9", "--out", str(prices)])
+    argv = ["train", "--use-real", "--data", str(prices), "--years", "1", *FAST, "--train-days", train_days]
+    assert run(argv + ["--out", str(tmp_path / "run")]) == code
 
 
 def test_use_real_without_data_is_config_error(tmp_path, capsys):
@@ -209,12 +223,16 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({}, ["backtest", "--widths", "4,x"], 2),
         # a learning rate so large that the third Adam step overflows the parameters
         ({}, ["train", "--n", "3", "--days", "60", *FAST, "--epochs", "3", "--lr", "1e308", "--out", "{tmp}/run"], 4),
+        # sizes no numpy array can hold: a price path and a parameter vector
+        ({}, ["simulate", "--n", "99999999999999999999", "--days", "10", "--out", "{tmp}/p.csv"], 2),
+        ({}, ["backtest", "--n", "3", "--days", "60", *FAST, "--widths", "3,99999999999999999999", "--out", "{tmp}/run"], 2),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "lr-overflows-step",
+        "n-too-large", "widths-too-large",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -231,6 +249,17 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    # a size numpy can index but the machine cannot hold; raised here without allocating
+    def out_of_memory(cfg):
+        raise MemoryError(f"Unable to allocate an array with shape ({cfg.n_days - 1}, {cfg.n_assets})")
+
+    monkeypatch.setattr(md, "gbm_simulate", out_of_memory)
+    assert run(["simulate", "--n", "5", "--days", "10000000000000", "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out of memory") and len(err.strip().splitlines()) == 1
 
 
 def test_overflow_inside_training_prints_no_warning(tmp_path, capsys):
@@ -258,6 +287,82 @@ def test_config_file_lists_parse_like_flags(tmp_path):
     assert cli.parse_config_file(cfg) == {"p_vals": (0.2, 0.4), "widths": (8, 4)}
     args = cli.build_parser().parse_args(["backtest", "--p-vals", "0.2, 0.4,", "--widths", "8,4"])
     assert (args.p_vals, args.widths) == ((0.2, 0.4), (8, 4))
+
+
+# --- random bad input through cli.main ---------------------------------------------
+
+HUGE = ["10000000000000000000", "99999999999999999999999"]
+BAD_INT = ["abc", "", "1e3", "-1", "0", "nan", "inf", "-inf"]
+# values per config key: small valid ones, then malformed text, negatives, nan/inf and sizes
+# >= 10**19. No size lies in between, where it could allocate real memory. The epoch count
+# is never huge: that is valid input that only takes long.
+VALUES = {
+    "n": ["2", "3"] + BAD_INT + HUGE,
+    "days": ["2", "30", "60"] + BAD_INT + HUGE,
+    "y": ["1", "2"] + BAD_INT + HUGE,
+    "train_days": ["10", "20"] + BAD_INT + HUGE,
+    "test_days": ["10", "20"] + BAD_INT + HUGE,
+    "epochs": ["1", "2"] + BAD_INT,
+    "jobs": ["1", "2"] + BAD_INT + HUGE,
+    "seed": ["0", "7"] + BAD_INT + HUGE,
+    "widths": ["3", "2,2", "", "0", "4,x", "3,-1"] + HUGE + ["2," + HUGE[0]],
+    "lr": ["1e-3", "0.1", "abc", "", "-1", "0", "nan", "inf", "-inf", "1e308"],
+    "lam": ["0.3", "0", "abc", "-1", "nan", "inf", "-inf"],
+    "p_vals": ["0.3,0.5", "0.5", "", "0.5,abc", "1.5", "0", "nan", "-0.5"],
+}
+FLAGS = {"y": "--years", "train_days": "--train-days", "test_days": "--test-days", "lam": "--lambda", "p_vals": "--p-vals"}
+SWITCHES = ["--use-real", "--warm-start", "--no-warm-start", "--svg"]
+BOOLS = {"use_real": ["yes", "0", "maybe"], "warm_start": ["no", "true", ""], "svg": ["on", "2"]}
+CSV_TEXTS = ["", "date,AAA\n0,1\n", "date,AAA,BBB\n0,1,2\n1,x,3\n", "date,AAA,BBB\n0,1,2\n1,-1,3\n"]
+SMALL_RUN = "n = 2\ndays = 60\ntrain_days = 20\ntest_days = 10\nwidths = 3\nepochs = 1\n"
+
+
+@st.composite
+def bad_runs(draw):
+    """(argv, files): a command, a config file that keeps a valid run small, then random
+    config lines and flags; {tmp} stands for a scratch directory."""
+    command = draw(st.sampled_from(["simulate", "train", "backtest", "report", "fetch"]))
+    files = {"prices.csv": draw(st.sampled_from(CSV_TEXTS + [None]))}
+    if command == "report":
+        files["run/summary.csv"] = draw(st.sampled_from([None, "", "strategy,avg_log_relative_return,K\nFGP,x,3\n"]))
+        return ["report", "{tmp}/run"], files
+    if command == "fetch":
+        url = draw(st.sampled_from(["not-a-url", "foo://x", "file://{tmp}/prices.csv", "file://{tmp}/none.csv"]))
+        return ["fetch", "--url", url, "--out", "{tmp}/fetched.csv"], files
+    keys = st.sampled_from(sorted(VALUES) + sorted(BOOLS) + ["data_path", "bogus"])
+    lines = [SMALL_RUN]
+    for key in draw(st.lists(keys, max_size=4)):
+        value = "{tmp}/prices.csv" if key == "data_path" else draw(st.sampled_from({**VALUES, **BOOLS}.get(key, ["1"])))
+        lines.append(f"{key} = {value}\n")
+    lines += draw(st.lists(st.sampled_from(["no equals sign\n", "# a comment\n", "lambda = nan\n"]), max_size=1))
+    files["run.cfg"] = draw(st.sampled_from(["".join(lines)] * 4 + [None, "\x00\xe9"]))
+    argv = [command, "--config", "{tmp}/run.cfg", "--out", "{tmp}/out"]
+    for key in draw(st.lists(st.sampled_from(sorted(VALUES) + ["data"]), max_size=4)):
+        if key == "data":
+            argv += ["--data", "{tmp}/prices.csv"]
+        else:
+            argv += [FLAGS.get(key, "--" + key), draw(st.sampled_from(VALUES[key]))]
+    return argv + draw(st.lists(st.sampled_from(SWITCHES), max_size=2)), files
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_case=bad_runs())
+def test_random_bad_input_exits_with_one_line(run_case):
+    argv, files = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            if text is not None:
+                (Path(tmp) / name).parent.mkdir(exist_ok=True)
+                (Path(tmp) / name).write_text(text.replace("{tmp}", tmp), encoding="latin-1")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([a.replace("{tmp}", tmp) for a in argv])
+            except SystemExit as exc:  # argparse's own errors
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
 
 
 # --- fetch -------------------------------------------------------------------------

@@ -44,6 +44,25 @@ def test_raw_map_always_sums_to_one():
         assert abs(fgp.raw_fgp_weights(g, x).sum() - 1.0) < 1e-10
 
 
+def test_neural_map_runs_the_generic_map_bit_for_bit():
+    # rows near the simplex's vertices and faces, at scaled networks, so that both the
+    # gradient clip and the weight floor bind on some entries and not on others
+    rng = np.random.default_rng(21)
+    n = 4
+    clipped = floored = 0
+    for seed, scale in enumerate((1.0, 1.5, 2.0, 3.0, 1.2)):
+        X = np.maximum(rng.dirichlet(np.full(n, 0.05), size=1000), 1e-9)
+        X /= X.sum(axis=1, keepdims=True)
+        theta = icnn.init(n, (8, 8), seed=seed)
+        theta = icnn.project_constraints(icnn.ICNNParams(theta.flat * scale, n, theta.widths))
+        nm = fgp.neural_map(theta, X)
+        g = np.clip(nm.grad_log_g, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
+        assert np.array_equal(nm.pi_raw, fgp.raw_fgp_weights(g, X)), seed
+        clipped += np.count_nonzero(g != nm.grad_log_g)
+        floored += np.count_nonzero(nm.pi_raw < fgp.PORTFOLIO_WEIGHT_FLOOR)
+    assert 0 < clipped < 5 * X.size and 0 < floored < 5 * X.size, (clipped, floored)
+
+
 # --- weight floor -----------------------------------------------------------
 
 

@@ -125,16 +125,6 @@ def test_csv_non_finite_cell_names_cell(cell):
         md.parse_prices_csv(text)
 
 
-def test_csv_unknown_ticker():
-    with pytest.raises(DataError, match="ZZZ"):
-        md.parse_prices_csv(CSV_CLEAN, tickers=["AAA", "ZZZ"])
-
-
-def test_csv_ticker_selection_order():
-    path = md.parse_prices_csv(CSV_CLEAN, tickers=["BBB", "AAA"])
-    np.testing.assert_array_equal(path.prices[0], [20, 10])
-
-
 def test_csv_unparsable_cell():
     text = "date,AAA,BBB\n2024-01-02,10,20\n2024-01-03,oops,21\n"
     with pytest.raises(DataError, match="row 3.*'AAA'"):

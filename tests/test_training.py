@@ -130,11 +130,9 @@ def binding_nets(theta, window):
     X = window[:-1]
     nm = fgp.neural_map(theta, X)
     g, G = nm.grad_log_g, nm.G
-    clipped = np.clip(g, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
-    raw = (clipped + 1.0 - np.sum(X * clipped, axis=1, keepdims=True)) * X
     return {
         "clip": bool(np.any(np.abs(g) > fgp.GRAD_CLIP)),
-        "weight floor": bool(np.any(raw <= fgp.PORTFOLIO_WEIGHT_FLOOR)),
+        "weight floor": bool(np.any(nm.pi_raw <= fgp.PORTFOLIO_WEIGHT_FLOOR)),
         "hinge": bool(np.any(G < training.POS_MARGIN)),
         "G floor": bool(np.any(G <= icnn.G_FLOOR)),
     }
