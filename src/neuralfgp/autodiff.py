@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NumericError
+from .icnn import softplus_sigmoid
 
 
 class Node:
@@ -20,19 +21,14 @@ class Node:
     value is fixed at construction; grad (same shape) is filled by backward.
     """
 
-    __slots__ = ("value", "parents", "op", "requires_grad", "grad", "_vjps")
+    __slots__ = ("value", "parents", "requires_grad", "grad", "_vjps")
 
-    def __init__(self, value, parents=(), op="leaf", requires_grad=False, vjps=()):
+    def __init__(self, value, parents=(), requires_grad=False, vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
-        self.op = op
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.grad = None
         self._vjps = vjps
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def item(self):
         return float(self.value)
@@ -59,27 +55,21 @@ class Node:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
-
 
 def constant(x):
     """Wrap an array as a non-differentiable graph input."""
-    return Node(x, op="const")
+    return Node(x)
 
 
 def param(x):
     """Wrap an array as a differentiable leaf (a parameter)."""
-    return Node(x, op="param", requires_grad=True)
+    return Node(x, requires_grad=True)
 
 
 def _as_node(x):
@@ -101,7 +91,6 @@ def add(a, b):
     return Node(
         a.value + b.value,
         (a, b),
-        "add",
         vjps=(
             lambda g: _unbroadcast(g, a.value.shape),
             lambda g: _unbroadcast(g, b.value.shape),
@@ -114,7 +103,6 @@ def sub(a, b):
     return Node(
         a.value - b.value,
         (a, b),
-        "sub",
         vjps=(
             lambda g: _unbroadcast(g, a.value.shape),
             lambda g: _unbroadcast(-g, b.value.shape),
@@ -127,7 +115,6 @@ def mul(a, b):
     return Node(
         a.value * b.value,
         (a, b),
-        "mul",
         vjps=(
             lambda g: _unbroadcast(g * b.value, a.value.shape),
             lambda g: _unbroadcast(g * a.value, b.value.shape),
@@ -140,7 +127,6 @@ def div(a, b):
     return Node(
         a.value / b.value,
         (a, b),
-        "div",
         vjps=(
             lambda g: _unbroadcast(g / b.value, a.value.shape),
             lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
@@ -161,7 +147,7 @@ def matmul(a, b):
         vjps = (lambda g: np.outer(g, bv), lambda g: av.T @ g)
     else:
         raise DimensionError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
-    return Node(av @ bv, (a, b), "matmul", vjps=vjps)
+    return Node(av @ bv, (a, b), vjps=vjps)
 
 
 def dot(a, b):
@@ -171,7 +157,6 @@ def dot(a, b):
     return Node(
         a.value @ b.value,
         (a, b),
-        "dot",
         vjps=(lambda g: g * b.value, lambda g: g * a.value),
     )
 
@@ -180,7 +165,7 @@ def transpose(a):
     a = _as_node(a)
     if a.value.ndim != 2:
         raise DimensionError(f"transpose: need a matrix, got shape {a.value.shape}")
-    return Node(a.value.T, (a,), "transpose", vjps=(lambda g: g.T,))
+    return Node(a.value.T, (a,), vjps=(lambda g: g.T,))
 
 
 def sum_(a, axis=None, keepdims=False):
@@ -192,66 +177,48 @@ def sum_(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, shape).copy()
 
-    return Node(a.value.sum(axis=axis, keepdims=keepdims), (a,), "sum", vjps=(vjp,))
+    return Node(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjps=(vjp,))
 
 
-def mean_(a, axis=None, keepdims=False):
+def mean_(a):
+    """Mean over all entries."""
     a = _as_node(a)
-    shape = a.value.shape
-    count = a.value.size if axis is None else shape[axis]
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy() / count
-
-    return Node(a.value.mean(axis=axis, keepdims=keepdims), (a,), "mean", vjps=(vjp,))
+    shape, count = a.value.shape, a.value.size
+    return Node(a.value.mean(), (a,), vjps=(lambda g: np.broadcast_to(g, shape).copy() / count,))
 
 
 def log(a):
     a = _as_node(a)
-    return Node(np.log(a.value), (a,), "log", vjps=(lambda g: g / a.value,))
+    return Node(np.log(a.value), (a,), vjps=(lambda g: g / a.value,))
 
 
 def exp(a):
     a = _as_node(a)
     out = np.exp(a.value)
-    return Node(out, (a,), "exp", vjps=(lambda g: g * out,))
+    return Node(out, (a,), vjps=(lambda g: g * out,))
 
 
 def square(a):
     a = _as_node(a)
-    return Node(a.value * a.value, (a,), "square", vjps=(lambda g: 2.0 * g * a.value,))
+    return Node(a.value * a.value, (a,), vjps=(lambda g: 2.0 * g * a.value,))
 
 
 def sqrt(a):
     a = _as_node(a)
     out = np.sqrt(a.value)
-    return Node(out, (a,), "sqrt", vjps=(lambda g: g / (2.0 * out),))
-
-
-def softplus_sigmoid(x):
-    """softplus(x) and sigmoid(x), both from one shared e = exp(-|x|), with no boolean masks.
-
-    The sigmoid is the stable two-branch form, 1/(1+e) for x >= 0 and e/(1+e)
-    below, bit for bit, including at +-0 and +-inf (NaN stays NaN): since
-    0 <= e <= 1, its numerator max(e, x >= 0) is 1 on the first branch and e
-    on the second.
-    """
-    e = np.exp(-np.abs(x))
-    return np.maximum(x, 0.0) + np.log1p(e), np.maximum(e, x >= 0) / (1.0 + e)
+    return Node(out, (a,), vjps=(lambda g: g / (2.0 * out),))
 
 
 def sigmoid(a):
     a = _as_node(a)
     _, out = softplus_sigmoid(a.value)
-    return Node(out, (a,), "sigmoid", vjps=(lambda g: g * out * (1.0 - out),))
+    return Node(out, (a,), vjps=(lambda g: g * out * (1.0 - out),))
 
 
 def softplus(a):
     a = _as_node(a)
     out, sig = softplus_sigmoid(a.value)
-    return Node(out, (a,), "softplus", vjps=(lambda g: g * sig,))
+    return Node(out, (a,), vjps=(lambda g: g * sig,))
 
 
 def maximum(a, s):
@@ -259,7 +226,7 @@ def maximum(a, s):
     a = _as_node(a)
     s = float(s)
     mask = a.value > s
-    return Node(np.maximum(a.value, s), (a,), "maximum", vjps=(lambda g: g * mask,))
+    return Node(np.maximum(a.value, s), (a,), vjps=(lambda g: g * mask,))
 
 
 def reshape(a, shape):
@@ -267,7 +234,7 @@ def reshape(a, shape):
     if int(np.prod(shape)) != a.value.size:
         raise DimensionError(f"reshape: cannot view {a.value.shape} as {shape}")
     old = a.value.shape
-    return Node(a.value.reshape(shape), (a,), "reshape", vjps=(lambda g: g.reshape(old),))
+    return Node(a.value.reshape(shape), (a,), vjps=(lambda g: g.reshape(old),))
 
 
 def l2norm(a, axis=None, keepdims=False):

@@ -73,6 +73,7 @@ class WalkForwardConfig:
             raise ConfigError("jobs must be >= 1")
         if self.jobs > 1 and self.warm_start:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
+        self.strategies()  # fgp.Generator checks each p_vals entry before any window trains
 
     def strategies(self):
         """The classical benchmark generators, in report order after the FGP."""

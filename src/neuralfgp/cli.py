@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 
 from . import backtest, icnn, market_data, training
 from .errors import ConfigError, DataError, NumericError
@@ -26,31 +27,29 @@ TRAIN_SEED_OFFSET = 1000
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; GbmConfig, TrainConfig and WalkForwardConfig own their defaults and checks."""
+
     use_real: bool = False
-    n: int = 5
+    n: int = market_data.GbmConfig.n_assets
     y: int = 5
-    p_vals: tuple = (0.3, 0.5, 0.8)
-    days: int = 1000
+    p_vals: tuple = backtest.WalkForwardConfig.p_vals
+    days: int = market_data.GbmConfig.n_days
     data_path: str = None
+    train_days: int = backtest.WalkForwardConfig.train_days
+    test_days: int = backtest.WalkForwardConfig.test_days
+    epochs: int = training.TrainConfig.epochs
+    lr: float = training.TrainConfig.learning_rate
+    lam: float = training.TrainConfig.lambda_l2
+    widths: tuple = backtest.WalkForwardConfig.widths
     seed: int = 0
-    train_days: int = 200
-    test_days: int = 20
-    epochs: int = 150
-    lr: float = 1e-3
-    lam: float = 0.3
-    widths: tuple = (64, 64)
-    warm_start: bool = True
-    jobs: int = 1
+    warm_start: bool = backtest.WalkForwardConfig.warm_start
+    jobs: int = backtest.WalkForwardConfig.jobs
     out: str = "out"
     svg: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("n must be >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if any(not (0.0 < p < 1.0) for p in self.p_vals):
-            raise ConfigError(f"p_vals must lie in (0, 1), got {self.p_vals}")
         if self.use_real and self.y < 1:
             raise ConfigError("y (years of history) must be >= 1 for real data")
 
@@ -65,28 +64,41 @@ def int_list(text):
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-_BOOL_KEYS = {"use_real", "svg", "warm_start"}
-# parsers of the other non-string keys; the command-line flags use the same ones
-_PARSERS = dict.fromkeys(("n", "y", "days", "seed", "train_days", "test_days", "epochs", "jobs"), int)
-_PARSERS.update(lr=float, lam=float, p_vals=float_list, widths=int_list)
+def boolean(text):
+    """'1', 'true', 'yes' or 'on' and '0', 'false', 'no' or 'off', in any case."""
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
-def _coerce(key, raw):
-    if key in _BOOL_KEYS:
-        if str(raw).strip().lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).strip().lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    try:
-        return _PARSERS.get(key, str)(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
+Option = namedtuple("Option", "flag parse help")
+
+# each RunConfig field's flag, the parser of both its flag and its config-file value, and its
+# help; a boolean field's flag is a switch that turns it on
+OPTIONS = {
+    "use_real": Option("--use-real", boolean, "read the last 252 * years rows of --data"),
+    "n": Option("--n", int, "number of assets"),
+    "y": Option("--years", int, "years of real history"),
+    "p_vals": Option("--p-vals", float_list, "comma-separated diversity exponents"),
+    "days": Option("--days", int, "synthetic path length"),
+    "data_path": Option("--data", str, "wide-format price CSV"),
+    "train_days": Option("--train-days", int, "rows per training window"),
+    "test_days": Option("--test-days", int, "rows per test slice"),
+    "epochs": Option("--epochs", int, "training epochs per window"),
+    "lr": Option("--lr", float, "Adam learning rate"),
+    "lam": Option("--lambda", float, "l2 penalty coefficient"),
+    "widths": Option("--widths", int_list, "comma-separated hidden layer widths"),
+    "seed": Option("--seed", int, "master seed of the simulation and of training"),
+    "warm_start": Option("--warm-start", boolean, "carry parameters across walk-forward windows (default)"),
+    "jobs": Option("--jobs", int, "parallel walk-forward workers"),
+    "out": Option("--out", str, "output file (simulate/fetch) or directory"),
+    "svg": Option("--svg", boolean, "also write an SVG chart"),
+}
 
 
 def parse_config_file(path):
     """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
-    known = {f.name for f in fields(RunConfig)}
     values = {}
     try:
         with open(path) as fh:
@@ -102,20 +114,18 @@ def parse_config_file(path):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key == "lambda":
             key = "lam"
-        if key not in known:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = OPTIONS[key].parse(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
     return values
 
 
 def build_run_config(args):
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            values[f.name] = cli_val
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((name, getattr(args, name)) for name in OPTIONS if getattr(args, name, None) is not None)
     return RunConfig(**values)
 
 
@@ -219,30 +229,15 @@ def _print_summary(rows):
 
 def _add_common_flags(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--use-real", dest="use_real", action="store_const", const=True, default=None)
-    p.add_argument("--n", type=int, default=None, help="number of assets")
-    p.add_argument("--years", dest="y", type=int, default=None, help="years of real history")
-    p.add_argument("--p-vals", dest="p_vals", type=float_list, default=None, help="comma-separated diversity exponents")
-    p.add_argument("--days", type=int, default=None, help="synthetic path length")
-    p.add_argument("--data", dest="data_path", default=None, help="wide-format price CSV")
-    p.add_argument("--train-days", dest="train_days", type=int, default=None)
-    p.add_argument("--test-days", dest="test_days", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="l2 penalty coefficient")
-    p.add_argument("--widths", type=int_list, default=None, help="comma-separated hidden layer widths")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--warm-start", dest="warm_start", action="store_const", const=True, default=None,
-        help="carry parameters across walk-forward windows (default)",
-    )
+    for name, opt in OPTIONS.items():
+        if opt.parse is boolean:
+            p.add_argument(opt.flag, dest=name, action="store_const", const=True, help=opt.help)
+        else:
+            p.add_argument(opt.flag, dest=name, type=opt.parse, help=opt.help)
     p.add_argument(
         "--no-warm-start", dest="warm_start", action="store_const", const=False,
         help="train each window from a fresh seeded init",
     )
-    p.add_argument("--jobs", type=int, default=None, help="parallel walk-forward workers")
-    p.add_argument("--out", default=None, help="output file (simulate/fetch) or directory")
-    p.add_argument("--svg", action="store_const", const=True, default=None, help="also write an SVG chart")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,7 +21,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 
 G_FLOOR = 1e-8  # log G reads max(G, G_FLOOR)
@@ -80,7 +79,7 @@ def _validate_widths(n, widths):
     return widths
 
 
-def init(n, widths=(64, 64), seed=0) -> ICNNParams:
+def init(n, widths, seed) -> ICNNParams:
     """Glorot-uniform init (a vector counts as one column); biases and c start at 0.
 
     Constrained weights take the absolute value of the draw. c is shifted
@@ -122,6 +121,18 @@ def from_arrays(arrays, widths) -> ICNNParams:
 # ---------------------------------------------------------------------------
 
 
+def softplus_sigmoid(x):
+    """softplus(x) and sigmoid(x), both from one shared e = exp(-|x|), with no boolean masks.
+
+    The sigmoid is the stable two-branch form, 1/(1+e) for x >= 0 and e/(1+e)
+    below, bit for bit, including at +-0 and +-inf (NaN stays NaN): since
+    0 <= e <= 1, its numerator max(e, x >= 0) is 1 on the first branch and e
+    on the second.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e), np.maximum(e, x >= 0) / (1.0 + e)
+
+
 def forward_layers(theta: ICNNParams, X):
     """f (m,) at each row of X, with lists Z of softplus(P_k) and S of sigmoid(P_k), each (m, m_k).
 
@@ -131,7 +142,7 @@ def forward_layers(theta: ICNNParams, X):
     Z, S = [], []
     for k, W in enumerate(theta.W):
         P = X @ W.T if k == 0 else Z[-1] @ W.T + X @ theta.U[k - 1].T
-        z, s = ad.softplus_sigmoid(P + theta.b[k])
+        z, s = softplus_sigmoid(P + theta.b[k])
         Z.append(z)
         S.append(s)
     return Z[-1] @ theta.w + X @ theta.u + theta.c, Z, S

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 MARKET_WEIGHT_FLOOR = 1e-12  # market weights are floored here, then renormalised
+DRIFT_RANGE = (-0.05, 0.15)  # GBM drifts and volatilities are drawn uniformly from these
+VOL_RANGE = (0.20, 0.80)
+FETCH_TIMEOUT_S = 30
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,8 @@ class PricePath:
 
 @dataclass(frozen=True)
 class MarketWeightPath:
-    """Rows live in the open unit simplex; same index as the source PricePath."""
+    """Rows live in the open unit simplex (entries > 0, sums within 1e-12 of 1); same index
+    as the source PricePath."""
 
     dates: list
     weights: np.ndarray
@@ -56,8 +60,8 @@ class MarketWeightPath:
         w = np.asarray(self.weights, dtype=np.float64)
         if not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise DataError("weight rows must sum to 1 within 1e-12")
-        if np.any(w < MARKET_WEIGHT_FLOOR):
-            raise DataError(f"weights must be >= {MARKET_WEIGHT_FLOOR}")
+        if not np.all(w > 0):
+            raise DataError("weights must be positive")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -73,8 +77,6 @@ class GbmConfig:
     n_assets: int = 5
     n_days: int = 1000
     dt: float = 1.0 / 252.0
-    drift_range: tuple = (-0.05, 0.15)
-    vol_range: tuple = (0.20, 0.80)
     seed: int = 0
 
     def __post_init__(self):
@@ -86,21 +88,17 @@ class GbmConfig:
             raise ConfigError(f"{self.n_days} days x {self.n_assets} assets do not fit in one float64 array")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.vol_range[0] <= 0:
-            raise ConfigError("vol_range low bound must be positive")
-        if self.drift_range[0] > self.drift_range[1] or self.vol_range[0] > self.vol_range[1]:
-            raise ConfigError("drift/vol ranges must be ordered (low, high)")
 
 
 def gbm_simulate(cfg: GbmConfig) -> PricePath:
-    """Simulate independent GBM paths with per-asset drift and vol drawn uniformly.
+    """Simulate independent GBM paths, per-asset drift and vol drawn from DRIFT_RANGE, VOL_RANGE.
 
     Uses numpy's PCG64 generator, so a fixed seed reproduces the path exactly.
     Per asset i the log-price increment is (m_i - s_i^2/2) dt + s_i sqrt(dt) Z.
     """
     rng = np.random.default_rng(cfg.seed)
-    drifts = rng.uniform(cfg.drift_range[0], cfg.drift_range[1], cfg.n_assets)
-    vols = rng.uniform(cfg.vol_range[0], cfg.vol_range[1], cfg.n_assets)
+    drifts = rng.uniform(*DRIFT_RANGE, cfg.n_assets)
+    vols = rng.uniform(*VOL_RANGE, cfg.n_assets)
     z = rng.standard_normal((cfg.n_days - 1, cfg.n_assets))
     increments = (drifts - 0.5 * vols**2) * cfg.dt + vols * np.sqrt(cfg.dt) * z
     log_prices = np.vstack([np.zeros(cfg.n_assets), increments]).cumsum(axis=0)  # prices start at 1
@@ -109,7 +107,8 @@ def gbm_simulate(cfg: GbmConfig) -> PricePath:
 
 
 def normalize_to_weights(path: PricePath) -> MarketWeightPath:
-    """Divide each price row by its total; floor at 1e-12 and renormalise."""
+    """Divide each price row by its total; floor at 1e-12 and renormalise, so a floored entry
+    ends at or just below the floor, never below 1e-12 / (1 + n * 1e-12)."""
     w = path.prices / path.prices.sum(axis=1, keepdims=True)
     if np.any(w < MARKET_WEIGHT_FLOOR):
         w = np.maximum(w, MARKET_WEIGHT_FLOOR)
@@ -177,16 +176,13 @@ def _parse_prices(fh, name):
     if len({type(d) for d in dates}) > 1:
         raise DataError(f"{name}: dates mix integer day indices and date strings")
 
-    # forward-fill, then drop leading rows that still have gaps
+    # forward-fill, then drop the leading rows that still have gaps: every later row is complete
     for i in range(1, prices.shape[0]):
         gap = np.isnan(prices[i])
         prices[i, gap] = prices[i - 1, gap]
     keep = ~np.isnan(prices).any(axis=1)
     first = int(np.argmax(keep)) if keep.any() else len(keep)
     prices, dates = prices[first:], dates[first:]
-    if np.isnan(prices).any():
-        r = int(np.argwhere(np.isnan(prices).any(axis=1))[0])
-        raise DataError(f"{name}: unfillable missing value at data row {r}")
     if prices.shape[0] < 2:
         raise DataError(f"{name}: fewer than 2 usable rows after forward-fill")
     try:
@@ -204,7 +200,7 @@ def write_prices_csv(path, price_path: PricePath):
             writer.writerow([date] + [repr(float(v)) for v in row])
 
 
-def fetch_csv(url, out_path, timeout=30):
+def fetch_csv(url, out_path):
     """Download a wide-format price CSV from a URL (http, https or file).
 
     Opt-in network use; validates the payload parses before writing it out.
@@ -217,7 +213,7 @@ def fetch_csv(url, out_path, timeout=30):
         scheme = urllib.parse.urlsplit(url).scheme
         if scheme not in ("http", "https", "file"):
             raise ValueError("the scheme must be http, https or file")
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             payload = resp.read()
     except ValueError as exc:
         raise ConfigError(f"bad URL {url!r}: {exc}") from None

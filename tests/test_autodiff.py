@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neuralfgp import autodiff as ad
+from neuralfgp import autodiff as ad, icnn
 from neuralfgp.errors import DimensionError
 
 
@@ -35,14 +35,14 @@ def test_softplus_sigmoid_bit_identical_to_two_branch_forms():
 
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 36.0, -36.0, 1e-300, -1e-300])
     x = np.concatenate([special, 30.0 * np.random.default_rng(0).standard_normal(20000)])
-    softplus, sigmoid = ad.softplus_sigmoid(x)
+    softplus, sigmoid = icnn.softplus_sigmoid(x)
     ref_softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     ref_sigmoid = sigmoid_two_branch(x)
     for got, ref in ((softplus, ref_softplus), (sigmoid, ref_sigmoid)):
         assert np.array_equal(got, ref, equal_nan=True)
         # signs match too, zeros included; NaN maps to NaN whatever its sign bit
         assert np.array_equal(np.signbit(got[~np.isnan(x)]), np.signbit(ref[~np.isnan(x)]))
-    # nodes of any rank, 0-d included, use the same helper
+    # tape nodes of any rank, 0-d included, use the same helper
     for shape in ((), (3,), (2, 3)):
         v = x[11 : 11 + int(np.prod(shape))].reshape(shape)
         assert np.array_equal(ad.sigmoid(v).value, sigmoid_two_branch(np.atleast_1d(v)).reshape(shape))

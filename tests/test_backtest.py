@@ -144,6 +144,12 @@ def test_master_terms_nontrivial_on_volatile_path():
 # --- walk-forward --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p_vals", [(1.5,), (0.5, 0.0), (float("nan"),)])
+def test_walk_forward_config_checks_exponents_before_any_window_trains(p_vals):
+    with pytest.raises(ConfigError, match="diversity exponent"):
+        backtest.WalkForwardConfig(p_vals=p_vals)
+
+
 def test_walk_forward_strategy_labels():
     path = weights_from_gbm(n_assets=2, n_days=60, seed=4)
     report = backtest.walk_forward(path, fast_walk_config())

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -221,6 +223,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # a malformed item in a comma-separated list
         ({}, ["backtest", "--p-vals", "0.5,abc"], 2),
         ({}, ["backtest", "--widths", "4,x"], 2),
+        # an exponent outside (0, 1) is rejected before the data is read: exit 2, not 3
+        ({}, ["backtest", "--data", "{tmp}/missing.csv", "--p-vals", "0.5,1.5"], 2),
         # a learning rate so large that the third Adam step overflows the parameters
         ({}, ["train", "--n", "3", "--days", "60", *FAST, "--epochs", "3", "--lr", "1e308", "--out", "{tmp}/run"], 4),
         # sizes no numpy array can hold: a price path and a parameter vector
@@ -231,8 +235,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
-        "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "lr-overflows-step",
-        "n-too-large", "widths-too-large",
+        "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
+        "lr-overflows-step", "n-too-large", "widths-too-large",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -287,6 +291,28 @@ def test_config_file_lists_parse_like_flags(tmp_path):
     assert cli.parse_config_file(cfg) == {"p_vals": (0.2, 0.4), "widths": (8, 4)}
     args = cli.build_parser().parse_args(["backtest", "--p-vals", "0.2, 0.4,", "--widths", "8,4"])
     assert (args.p_vals, args.widths) == ((0.2, 0.4), (8, 4))
+
+
+def test_config_file_switches_parse_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("svg = on\nwarm_start = no\n")
+    assert cli.parse_config_file(cfg) == {"svg": True, "warm_start": False}
+    from_file = cli.build_run_config(cli.build_parser().parse_args(["backtest", "--config", str(cfg)]))
+    from_flags = cli.build_run_config(cli.build_parser().parse_args(["backtest", "--svg", "--no-warm-start"]))
+    assert from_file == from_flags == cli.RunConfig(svg=True, warm_start=False)
+
+
+def test_option_table_matches_run_config_and_gives_every_flag_help(capsys):
+    assert list(cli.OPTIONS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    assert all(action.help for action in parser._actions)
+    for command in ("simulate", "train", "backtest"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(opt.flag in out for opt in cli.OPTIONS.values())
 
 
 # --- random bad input through cli.main ---------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +255,14 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     for x in random_simplex(rng, 4, 5):
         fd = (grad_f(x + h * np.eye(4)) - grad_f(x - h * np.eye(4))) / (2 * h)
         assert np.abs(fgp.generator_hessian(gen, x) + fd).max() <= 1e-7 * (1.0 + np.abs(fd).max())
+
+
+def test_importing_fgp_loads_no_tape():
+    code = "import sys, neuralfgp.fgp; assert 'neuralfgp.autodiff' not in sys.modules, sorted(sys.modules)"
+    src = str(Path(fgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_paths_build_no_autodiff_node(monkeypatch):

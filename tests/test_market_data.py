@@ -7,10 +7,10 @@ from neuralfgp import market_data as md
 from neuralfgp.errors import ConfigError, DataError
 
 
-def test_gbm_deterministic_limit_tiny_vol():
-    cfg = md.GbmConfig(
-        n_assets=2, n_days=3, drift_range=(0.1, 0.1), vol_range=(1e-12, 1e-12), seed=5
-    )
+def test_gbm_deterministic_limit_tiny_vol(monkeypatch):
+    monkeypatch.setattr(md, "DRIFT_RANGE", (0.1, 0.1))
+    monkeypatch.setattr(md, "VOL_RANGE", (1e-12, 1e-12))
+    cfg = md.GbmConfig(n_assets=2, n_days=3, seed=5)
     path = md.gbm_simulate(cfg)
     expected = np.exp(0.1 * cfg.dt)
     ratios = path.prices[1:] / path.prices[:-1]
@@ -35,10 +35,6 @@ def test_gbm_invalid_config():
         md.GbmConfig(n_days=1)
     with pytest.raises(ConfigError):
         md.GbmConfig(dt=0.0)
-    with pytest.raises(ConfigError):
-        md.GbmConfig(vol_range=(0.0, 0.4))
-    with pytest.raises(ConfigError):
-        md.GbmConfig(drift_range=(0.2, 0.1))
 
 
 @pytest.mark.parametrize(
@@ -61,6 +57,19 @@ def test_normalize_rows_sum_to_one_and_floored():
     w = md.normalize_to_weights(path)
     np.testing.assert_allclose(w.weights.sum(axis=1), 1.0, atol=1e-12)
     assert w.weights.min() >= md.MARKET_WEIGHT_FLOOR
+
+
+def test_floored_weights_stay_in_the_open_simplex():
+    # the floor lifts B to 1e-12, and renormalising puts it just below: still a valid path
+    n = 2
+    path = md.PricePath([0, 1, 2], [[1, 1e-15], [1, 2e-15], [1, 1]], ["A", "B"])
+    w = md.normalize_to_weights(path).weights
+    assert w[:2, 1].max() < md.MARKET_WEIGHT_FLOOR
+    assert w.min() >= md.MARKET_WEIGHT_FLOOR / (1 + n * md.MARKET_WEIGHT_FLOOR)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for bad in ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.5, -0.5]]):
+        with pytest.raises(DataError, match="positive"):
+            md.MarketWeightPath([0, 1], np.array(bad), ["A", "B"])
 
 
 def test_normalize_scale_invariance():
