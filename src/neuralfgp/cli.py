@@ -119,7 +119,7 @@ def parse_config_file(path):
         try:
             values[key] = OPTIONS[key].parse(raw)
         except ValueError:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
+            raise ConfigError(f"{path}:{lineno}: config key {key}: cannot parse {raw!r}") from None
     return values
 
 
@@ -263,8 +263,8 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fetch", help="download a price CSV over HTTP (opt-in network use)")
-    p.add_argument("--url", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--url", required=True, help="URL of a wide-format price CSV")
+    p.add_argument("--out", default=None, help="output file (default prices.csv)")
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("train", help="train one window and save the parameters")
@@ -276,7 +276,7 @@ def build_parser():
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("report", help="print the summary table from a report directory")
-    p.add_argument("report_dir")
+    p.add_argument("report_dir", help="directory holding a backtest's summary.csv")
     p.set_defaults(func=cmd_report)
 
     return parser

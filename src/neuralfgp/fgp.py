@@ -150,8 +150,9 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
     # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
     theta = gen.theta
     X = x.reshape(-1, n)
-    _, _, S = icnn.forward_layers(theta, X)
-    A, _, _ = icnn.input_gradient(theta, S)
+    work = icnn.Work(len(X), theta.widths)
+    _, _, S = icnn.forward_layers(theta, X, work)
+    A, _, _ = icnn.input_gradient(theta, S, work)
     H = 0.0
     for k, W in enumerate(theta.W):
         J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
@@ -170,15 +171,17 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
 NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g pi_raw pi_floored pi_sum pi")
 
 
-def neural_map(theta: icnn.ICNNParams, X) -> NeuralMap:
+def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     """Neural weights at each row of X: grad log G -> componentwise clip at +-GRAD_CLIP ->
     generic FGP map (raw_fgp_weights) -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise.
 
     G is floored at G_FLOOR before the division. The values equal those of the autodiff graph of
     training.build_loss bit for bit, though its nodes (the clip is two negated maxima) differ.
+    Z, S, A and D live in work's arrays (fresh ones when work is None).
     """
-    f, Z, S = icnn.forward_layers(theta, X)
-    A, D, grad_f = icnn.input_gradient(theta, S)
+    work = icnn.Work(len(X), theta.widths) if work is None else work
+    f, Z, S = icnn.forward_layers(theta, X, work)
+    A, D, grad_f = icnn.input_gradient(theta, S, work)
     neg_grad_f = -grad_f
     G = -f
     G_col = np.maximum(G, icnn.G_FLOOR).reshape(-1, 1)

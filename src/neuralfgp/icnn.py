@@ -121,48 +121,68 @@ def from_arrays(arrays, widths) -> ICNNParams:
 # ---------------------------------------------------------------------------
 
 
-def softplus_sigmoid(x):
-    """softplus(x) and sigmoid(x), both from one shared e = exp(-|x|), with no boolean masks.
+class Work:
+    """(m, m_k) float64 work arrays of the numpy passes over m rows, one list over the layers per
+    name: Z and S hold forward_layers' activations and slopes, A and D input_gradient's adjoints
+    (D has no last entry: that adjoint is w), and P and E are scratch.
+
+    The passes allocate a fresh set when none is handed in. A caller that repeats them over one
+    row count, as training does every epoch, builds one set and hands it in each time; a pass
+    overwrites what the set held.
+    """
+
+    def __init__(self, rows, widths):
+        self.Z, self.S, self.A, self.P, self.E = ([np.empty((rows, m)) for m in widths] for _ in range(5))
+        self.D = [np.empty((rows, m)) for m in widths[:-1]]
+
+
+def softplus_sigmoid(x, z=None, s=None, e=None):
+    """softplus(x) into z and sigmoid(x) into s, both from one shared e = exp(-|x|), with no
+    boolean masks; z, s and the scratch e are fresh arrays when not given. Returns (z, s).
 
     The sigmoid is the stable two-branch form, 1/(1+e) for x >= 0 and e/(1+e)
     below, bit for bit, including at +-0 and +-inf (NaN stays NaN): since
     0 <= e <= 1, its numerator max(e, x >= 0) is 1 on the first branch and e
     on the second.
     """
-    e = np.exp(-np.abs(x))
-    return np.maximum(x, 0.0) + np.log1p(e), np.maximum(e, x >= 0) / (1.0 + e)
+    z, s, e = (np.empty(np.shape(x)) if a is None else a for a in (z, s, e))
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.add(np.maximum(x, 0.0, out=z), np.log1p(e, out=s), out=z)
+    np.maximum(e, np.greater_equal(x, 0.0, out=s), out=s)
+    return z, np.divide(s, np.add(1.0, e, out=e), out=s)
 
 
-def forward_layers(theta: ICNNParams, X):
+def forward_layers(theta: ICNNParams, X, work: Work = None):
     """f (m,) at each row of X, with lists Z of softplus(P_k) and S of sigmoid(P_k), each (m, m_k).
 
     P_0 = X W_0^T + b_0, P_k = Z_{k-1} W_k^T + X U_k^T + b_k and f = Z_K w + X u + c.
-    Returns (f, Z, S).
+    Returns (f, Z, S); Z and S are work's arrays.
     """
-    Z, S = [], []
+    work = Work(len(X), theta.widths) if work is None else work
+    Z, S, P, E = work.Z, work.S, work.P, work.E
     for k, W in enumerate(theta.W):
-        P = X @ W.T if k == 0 else Z[-1] @ W.T + X @ theta.U[k - 1].T
-        z, s = softplus_sigmoid(P + theta.b[k])
-        Z.append(z)
-        S.append(s)
+        np.matmul(Z[k - 1] if k else X, W.T, out=P[k])
+        if k:
+            np.add(P[k], np.matmul(X, theta.U[k - 1].T, out=E[k]), out=P[k])
+        softplus_sigmoid(np.add(P[k], theta.b[k], out=P[k]), Z[k], S[k], E[k])
     return Z[-1] @ theta.w + X @ theta.u + theta.c, Z, S
 
 
-def input_gradient(theta: ICNNParams, S):
+def input_gradient(theta: ICNNParams, S, work: Work = None):
     """grad_x f at each row, backpropagated by hand through the sigmoids S of forward_layers().
 
     D[K-1] = w and D[j-1] = A[j] W_j are the adjoints of the activations, A[j] = S[j] * D[j]
-    those of the pre-activations. Returns (A, D, grad_f (m, n)).
+    those of the pre-activations. Returns (A, D, grad_f (m, n)); A and D[:-1] are work's arrays.
     """
-    K = len(theta.W)
-    A, D = [None] * K, [None] * K
-    D[-1], grad = theta.w, None
-    for j in range(K - 1, -1, -1):
-        A[j] = S[j] * D[j]
+    work = Work(len(S[0]), theta.widths) if work is None else work
+    A, D = work.A, work.D + [theta.w]
+    grad = None
+    for j in range(len(theta.W) - 1, -1, -1):
+        np.multiply(S[j], D[j], out=A[j])
         term = A[j] @ (theta.U[j - 1] if j else theta.W[0])
         grad = term if grad is None else grad + term
         if j:
-            D[j - 1] = A[j] @ theta.W[j]
+            np.matmul(A[j], theta.W[j], out=D[j - 1])
     return A, D, grad + theta.u
 
 

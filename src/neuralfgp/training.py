@@ -122,7 +122,7 @@ def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
 
 @_quiet
-def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
+def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, work: icnn.Work = None):
     """Loss parts plus d(loss)/d(theta), an ICNNParams of theta's layout, in straight-line numpy.
 
     The forward pass is fgp.neural_map plus the loss terms. The reverse pass applies
@@ -131,13 +131,17 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     and IEEE addition commutes, so the result is bit-identical to
     ad.backward over build_loss, which stays as the reference. NumericError if the
     loss or a gradient entry is not finite.
+
+    work holds the (T, width) arrays of both passes, T being the window's step count (fresh
+    ones when None); every (T, width) adjoint goes into an array whose value is dead.
     """
     W = _window(window_weights)
     T = W.shape[0] - 1
     X, ratios = W[:-1], W[1:] / W[:-1]
     Ws, Us, w = theta.W, (None,) + theta.U, theta.w
     K = len(Ws)
-    Z, S, A, D, neg_grad_f, G, G_col, g_raw, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X)
+    work = icnn.Work(T, theta.widths) if work is None else work
+    Z, S, A, D, neg_grad_f, G, G_col, g_raw, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X, work)
 
     # log wealth, penalty and hinge (build_loss)
     step_returns = (pi * ratios).sum(axis=1)
@@ -164,40 +168,51 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     d_f = d_G * -1.0
     d_grad = d_g_raw / G_col * -1.0
 
-    # back through the input-gradient recursion, first term first
-    d_W = [A[0].T @ d_grad]
-    d_U = [None] + [A[j].T @ d_grad for j in range(1, K)]
-    d_sig = [None] * K
-    d_A = d_grad @ Ws[0].T
+    # the gradient goes straight into views of one flat vector in theta's layout
+    flat = np.empty_like(theta.flat)
+    slots = icnn.layout(theta.n, theta.widths).slots
+    d = {name: flat[sl].reshape(shape) for name, (sl, shape) in slots.items()}
+    d_W = [d[f"W{k}"] for k in range(K)]
+    d_U = [None] + [d[f"U{k}"] for k in range(1, K)]
+
+    # back through the input-gradient recursion, first term first; d_A and d_D go into P[j],
+    # d_sig[j] into A[j] after A[j]'s last read
+    P, E = work.P, work.E
+    np.matmul(A[0].T, d_grad, out=d_W[0])
+    for j in range(1, K):
+        np.matmul(A[j].T, d_grad, out=d_U[j])
+    d_A = np.matmul(d_grad, Ws[0].T, out=P[0])
     for j in range(K):
-        d_sig[j] = d_A * D[j]
-        d_D = d_A * S[j]
+        np.multiply(d_A, D[j], out=A[j])
+        d_D = np.multiply(d_A, S[j], out=d_A)
         if j + 1 < K:
-            d_W.append(A[j + 1].T @ d_D)
-            d_A = d_grad @ Us[j + 1].T + d_D @ Ws[j + 1].T
-    d_w = Z[-1].T @ d_f + d_D.sum(axis=0)
+            np.matmul(A[j + 1].T, d_D, out=d_W[j + 1])
+            d_A = np.matmul(d_grad, Us[j + 1].T, out=P[j + 1])
+            np.add(d_A, np.matmul(d_D, Ws[j + 1].T, out=E[j + 1]), out=d_A)
+    d_sig = A
+    d["w"][...] = Z[-1].T @ d_f + d_D.sum(axis=0)
 
-    # back through the ICNN forward, last layer first
-    d_b = [None] * K
-    d_Z = np.outer(d_f, w)
+    # back through the ICNN forward, last layer first: d_P = d_Z * S[k] + d_sig[k] * S[k] * (1 - S[k]),
+    # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use
+    d_Z = np.outer(d_f, w, out=E[-1])
     for k in range(K - 1, -1, -1):
-        d_P = d_Z * S[k] + d_sig[k] * S[k] * (1.0 - S[k])
-        d_b[k] = d_P.sum(axis=0)
+        np.multiply(d_Z, S[k], out=d_Z)
+        np.multiply(d_sig[k], S[k], out=d_sig[k])
+        np.multiply(d_sig[k], np.subtract(1.0, S[k], out=S[k]), out=d_sig[k])
+        d_P = np.add(d_Z, d_sig[k], out=d_Z)
+        d[f"b{k}"][...] = d_P.sum(axis=0)
         if k:
-            d_W[k] = (Z[k - 1].T @ d_P).T + d_W[k]
-            d_U[k] = (X.T @ d_P).T + d_U[k]
-            d_Z = d_P @ Ws[k]
+            np.add((Z[k - 1].T @ d_P).T, d_W[k], out=d_W[k])
+            np.add((X.T @ d_P).T, d_U[k], out=d_U[k])
+            d_Z = np.matmul(d_P, Ws[k], out=E[k - 1])
         else:
-            d_W[0] = (X.T @ d_P).T + d_W[0]
+            np.add((X.T @ d_P).T, d_W[0], out=d_W[0])
 
-    grads = {f"W{k}": d_W[k] for k in range(K)}
-    grads.update({f"U{k}": d_U[k] for k in range(1, K)})
-    grads.update({f"b{k}": d_b[k] for k in range(K)})
-    grads.update(w=d_w, u=X.T @ d_f + d_grad.sum(axis=0), c=d_f.sum(axis=0))
-    grads = icnn.from_arrays(grads, theta.widths)
-    if not np.isfinite(grads.flat).all():
+    d["u"][...] = X.T @ d_f + d_grad.sum(axis=0)
+    d["c"][...] = d_f.sum(axis=0)
+    if not np.isfinite(flat).all():
         raise NumericError("training gradient is not finite")
-    return parts, grads
+    return parts, icnn.ICNNParams(flat, theta.n, theta.widths)
 
 
 @_quiet
@@ -231,10 +246,11 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
     """
     theta = theta0
     state = AdamState.for_params(theta)
+    work = icnn.Work(_window(window_weights).shape[0] - 1, theta.widths)
     best_theta, best_loss = theta, np.inf
     log_rows = []
     for epoch in range(cfg.epochs):
-        parts, grads = loss_gradients(theta, window_weights, cfg)
+        parts, grads = loss_gradients(theta, window_weights, cfg, work)
         log_rows.append((epoch, parts.total, parts.log_v_term, parts.penalty_term, parts.hinge_term))
         if parts.total < best_loss:
             best_loss, best_theta = parts.total, theta

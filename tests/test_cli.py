@@ -73,6 +73,13 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_file_unparsable_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nseed = abc\n")
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {cfg}:2: config key seed: cannot parse 'abc'\n"
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -313,6 +320,14 @@ def test_option_table_matches_run_config_and_gives_every_flag_help(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert all(opt.flag in out for opt in cli.OPTIONS.values())
+
+
+def test_every_argument_of_every_subcommand_has_help():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"simulate", "fetch", "train", "backtest", "report"}
+    for command, parser in sub.choices.items():
+        bare = [action.dest for action in parser._actions if not action.help]
+        assert not bare, (command, bare)
 
 
 # --- random bad input through cli.main ---------------------------------------------

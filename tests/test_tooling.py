@@ -1,5 +1,8 @@
 """The benchmark's tracer wraps program functions by name; a rename must fail here, not in a traced run.
 
+The per-window span times of `training.loss_gradients` and `training.adam_step`
+hold only while `train_window` reaches them through those module names.
+
 The benchmark's self-test also reads facts that only some calls produce: the
 tape size from the result of `training.build_loss`, and the JSON hand-over of
 theta between warm-started windows. A change that stops those calls must fail
@@ -50,6 +53,16 @@ def test_train_window_builds_the_loss_graph_once(monkeypatch):
     window = np.random.default_rng(0).dirichlet(np.ones(3), 11)
     training.train_window(icnn.init(3, (4,), seed=0), window, training.TrainConfig(epochs=3))
     assert calls == ["build_loss"]
+
+
+def test_train_window_takes_one_gradient_and_one_step_per_epoch(monkeypatch):
+    assert {"training.loss_gradients", "training.adam_step"} <= set(traced_names())
+    gradients = counting(monkeypatch, training, "loss_gradients")
+    steps = counting(monkeypatch, training, "adam_step")
+    window = np.random.default_rng(0).dirichlet(np.ones(3), 11)
+    cfg = training.TrainConfig(epochs=4)
+    training.train_window(icnn.init(3, (4,), seed=0), window, cfg)
+    assert len(gradients) == len(steps) == cfg.epochs
 
 
 def test_warm_started_walk_forward_hands_theta_over_as_json(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -349,6 +350,48 @@ def test_trained_portfolio_overweights_trending_asset():
     theta, _ = training.train_window(theta0, weights, cfg)
     tilts = [fgp.neural_weights(theta, x).pi[0] - x[0] for x in weights[:-1]]
     assert np.mean(tilts) > 0
+
+
+def test_warm_loss_gradients_allocates_no_width_sized_arrays():
+    # at T=200 each (T, 64) array is 100 KB; a call that allocated its own peaked at 1.9 MB
+    window = random_window(np.random.default_rng(15), 5, 201)
+    theta = icnn.init(5, (64, 64), seed=0)
+    cfg = training.TrainConfig()
+    work = icnn.Work(200, theta.widths)
+    training.loss_gradients(theta, window, cfg, work)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        training.loss_gradients(theta, window, cfg, work)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+def test_work_arrays_carry_nothing_between_calls():
+    rng = np.random.default_rng(16)
+    cfg = training.TrainConfig(epochs=5)
+    cases = {
+        "a": (icnn.init(4, (8, 6), seed=1), random_window(rng, 4, 31)),
+        "b": (icnn.init(4, (5,), seed=2), random_window(rng, 4, 12)),
+    }
+    runs = [{name: training.train_window(*cases[name], cfg) for name in order} for order in ("ab", "ba", "a", "b")]
+    for name in "ab":
+        ref_theta, ref_rows = runs[0][name]
+        for run in runs[1:]:
+            if name in run:
+                assert run[name][1] == ref_rows
+                assert run[name][0].flat.tobytes() == ref_theta.flat.tobytes()
+
+    theta, X = runs[0]["a"][0], cases["a"][1]
+    gen = fgp.Generator("neural", theta=theta)
+    pi, H = fgp.neural_weights(theta, X).pi, fgp.generator_hessian(gen, X)
+    kept = pi.tobytes(), H.tobytes()
+    fgp.neural_weights(theta, X[::-1])
+    fgp.generator_hessian(gen, X[:3])
+    training.train_window(theta, X, cfg)
+    assert (pi.tobytes(), H.tobytes()) == kept
 
 
 def test_training_log_csv(tmp_path):
