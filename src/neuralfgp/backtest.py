@@ -177,17 +177,22 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
 
     The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
     left endpoint, d_tau the realized covariation increment of the step. The
-    constant generator is exact: V is identically 1 and both terms vanish.
+    constant generator is exact: V is identically 1 and both terms vanish. A neural generator's
+    weights and Hessian share one fgp.neural_map of rows 0..T-1; G keeps its own (T+1)-row pass.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
-    log_v = float(np.log(relative_wealth(lambda x: fgp.weights(gen, x), W).terminal))
+    weights_fn, hessian = lambda x: fgp.weights(gen, x), lambda X: fgp.generator_hessian(gen, X)
+    if gen.kind == "neural" and W.ndim == 2:  # relative_wealth rejects any other shape
+        nm = fgp.neural_map(gen.theta, W[:-1])
+        weights_fn, hessian = lambda x: fgp.PortfolioWeights(nm.pi), lambda X: fgp.neural_hessian(gen.theta, nm)
+    log_v = float(np.log(relative_wealth(weights_fn, W).terminal))
     G = fgp.generator_value(gen, W)
     log_g_ratio = float(np.log(G[-1] / G[0]))
 
     x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W[:-1]), x_dlog, x_dlog))
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], hessian(W[:-1]), x_dlog, x_dlog))
     residual = log_v - log_g_ratio - drift
     if not np.isfinite(residual):
         raise NumericError("master decomposition produced a non-finite residual")

@@ -180,7 +180,7 @@ def cmd_fetch(args):
 
 def cmd_train(args):
     cfg = build_run_config(args)
-    train_cfg = _train_config(cfg)
+    train_cfg = backtest.WalkForwardConfig(train_days=cfg.train_days, train=_train_config(cfg)).train  # train_days >= 2
     weights = _load_weights(cfg)
     needed = cfg.train_days + 1
     if len(weights) < needed:

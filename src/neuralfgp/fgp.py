@@ -121,13 +121,13 @@ def generator_value(gen: Generator, x):
     elif gen.kind == "entropy":
         G = -np.sum(x * np.log(x), axis=-1)
     else:
-        G = np.maximum(icnn.generating_function(gen.theta, x), icnn.G_FLOOR)
+        G = np.maximum(-icnn.forward(gen.theta, x), icnn.G_FLOOR)
     return float(G) if x.ndim == 1 else G
 
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators; exact for the neural one, by the forward Jacobian recursion of the ICNN."""
+    generators; exact for the neural one, by neural_hessian over a neural_map of the rows."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     diag = np.eye(n, dtype=bool)
@@ -146,18 +146,7 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
         return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
     if gen.kind == "entropy":
         return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
-    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
-    # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
-    theta = gen.theta
-    X = x.reshape(-1, n)
-    work = icnn.Work(len(X), theta.widths)
-    _, _, S = icnn.forward_layers(theta, X, work)
-    A, _, _ = icnn.input_gradient(theta, S, work)
-    H = 0.0
-    for k, W in enumerate(theta.W):
-        J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
-        H = H + np.swapaxes(J, -1, -2) @ ((A[k] * (1.0 - S[k]))[..., None] * J)
-    return -H.reshape(outer.shape)
+    return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(outer.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +166,10 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
 
     G is floored at G_FLOOR before the division. The values equal those of the autodiff graph of
     training.build_loss bit for bit, though its nodes (the clip is two negated maxima) differ.
-    Z, S, A and D live in work's arrays (fresh ones when work is None).
+    Z, S, A and D live in work's arrays (fresh ones when work is None). X must be (m, theta.n).
     """
+    if X.ndim != 2 or X.shape[1] != theta.n:
+        raise DimensionError(f"neural map: expected rows of shape (m, {theta.n}), got {X.shape}")
     work = icnn.Work(len(X), theta.widths) if work is None else work
     f, Z, S = icnn.forward_layers(theta, X, work)
     A, D, grad_f = icnn.input_gradient(theta, S, work)
@@ -193,11 +184,20 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     return NeuralMap(Z, S, A, D, neg_grad_f, G, G_col, grad_log_g, pi_raw, pi_floored, pi_sum, pi)
 
 
+def neural_hessian(theta: icnn.ICNNParams, nm: NeuralMap) -> np.ndarray:
+    """Hessian of G = -f at each row of a neural map's batch, (m, n, n), from the map's S and A."""
+    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
+    # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
+    H, S = 0.0, nm.S
+    for k, W in enumerate(theta.W):
+        J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
+        H = H + np.swapaxes(J, -1, -2) @ ((nm.A[k] * (1.0 - S[k]))[..., None] * J)
+    return -H
+
+
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
     """Evaluate the neural weight map at a simplex point (n,) or at each row of a batch (m, n)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
-        raise DimensionError(f"neural_weights: expected shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
     return PortfolioWeights(neural_map(theta, np.atleast_2d(x)).pi.reshape(x.shape))
 
 

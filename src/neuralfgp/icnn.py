@@ -195,11 +195,6 @@ def forward(theta: ICNNParams, x):
     return float(f[0]) if x.ndim == 1 else f
 
 
-def generating_function(theta: ICNNParams, x):
-    """G(x) = -f(x), shaped as forward's result. May be nonpositive; downstream logs clamp at G_FLOOR."""
-    return -forward(theta, x)
-
-
 # ---------------------------------------------------------------------------
 # serialisation: versioned JSON, arrays base64-encoded row-major float64
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from neuralfgp import backtest, fgp, market_data as md, training
-from neuralfgp.errors import ConfigError, DataError
+from neuralfgp import backtest, fgp, icnn, market_data as md, training
+from neuralfgp.errors import ConfigError, DataError, DimensionError
 
 
 def market_fn(x):
@@ -132,6 +133,33 @@ def test_master_residual_shrinks_with_step(gen):
             sums[stride] += r
             assert r < 1e-3
     assert sums[1] < sums[2] < sums[4]
+
+
+def split_from_public_maps(gen, W):
+    """The decomposition as the public maps give it: weights and G from their own calls, the
+    Hessian from generator_hessian over rows 0..T-1."""
+    log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.neural_weights(gen.theta, x), W).terminal))
+    G = fgp.generator_value(gen, W)
+    log_g_ratio = float(np.log(G[-1] / G[0]))
+    x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W[:-1]), x_dlog, x_dlog))
+    return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
+
+
+@pytest.mark.parametrize("widths", [(8,), (16, 8, 4), (64, 64)])
+@pytest.mark.parametrize("n", [3, 5])
+def test_neural_master_residual_matches_the_public_maps_bit_for_bit(widths, n):
+    # master_residual takes the weights and the Hessian from one neural_map of rows 0..T-1, and G
+    # from its own pass over all T+1 rows: a 1-row pass for G[T], or one (T+1)-row map, would
+    # change bits, since the gemm result depends on the row count
+    gen = fgp.Generator("neural", theta=icnn.init(n, widths, seed=n))
+    for T in (1, 7, 20, 200):
+        W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights
+        got, want = backtest.master_residual(gen, W), split_from_public_maps(gen, W)
+        assert np.array(dataclasses.astuple(got)).tobytes() == np.array(dataclasses.astuple(want)).tobytes(), T
+        assert got.log_v != 0.0 and got.drift_integral != 0.0
+    with pytest.raises(DimensionError):
+        backtest.master_residual(gen, np.full((8, n + 1), 1.0 / (n + 1)))
 
 
 def test_master_terms_nontrivial_on_volatile_path():

@@ -102,7 +102,7 @@ def test_train_saved_params_reload_identically(tmp_path):
     a = icnn.load(out / "theta.json")
     b = icnn.load(out / "theta.json")
     x = np.array([0.4, 0.6])
-    assert icnn.generating_function(a, x) == icnn.generating_function(b, x)
+    assert -icnn.forward(a, x) == -icnn.forward(b, x)
 
 
 def test_train_insufficient_data_is_data_error(tmp_path, capsys):
@@ -237,13 +237,16 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # sizes no numpy array can hold: a price path and a parameter vector
         ({}, ["simulate", "--n", "99999999999999999999", "--days", "10", "--out", "{tmp}/p.csv"], 2),
         ({}, ["backtest", "--n", "3", "--days", "60", *FAST, "--widths", "3,99999999999999999999", "--out", "{tmp}/run"], 2),
+        # train checks train_days >= 2 as the walk-forward does, before any data is read
+        ({}, ["train", "--n", "3", "--days", "30", "--train-days", "-5", "--epochs", "2", "--widths", "4"], 2),
+        ({}, ["train", "--data", "{tmp}/missing.csv", "--train-days", "1"], 2),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
-        "lr-overflows-step", "n-too-large", "widths-too-large",
+        "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):

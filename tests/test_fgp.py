@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfgp import autodiff as ad
-from neuralfgp import fgp, icnn, training
+from neuralfgp import backtest, fgp, icnn, training
 from neuralfgp.errors import ConfigError, NumericError
 from test_icnn import with_arrays, zero_params
 
@@ -281,6 +281,7 @@ def test_numpy_paths_build_no_autodiff_node(monkeypatch):
         fgp.neural_weights(theta, x)
         fgp.generator_value(gen, x)
         fgp.generator_hessian(gen, x)
+    backtest.master_residual(gen, X)
     training.loss_gradients(theta, X, training.TrainConfig())
 
 

@@ -38,7 +38,7 @@ def test_init_respects_constraints():
 def test_init_generating_function_above_one_at_uniform():
     for seed in range(5):
         theta = icnn.init(5, (16, 16), seed=seed)
-        assert icnn.generating_function(theta, np.full(5, 0.2)) > 1.0
+        assert -icnn.forward(theta, np.full(5, 0.2)) > 1.0
 
 
 def test_init_deterministic():
@@ -143,8 +143,8 @@ def test_forward_dimension_mismatch():
 
 
 def test_generating_function_sign_flip():
-    assert icnn.generating_function(zero_params(c=-3.0), np.array([0.4, 0.6])) == 3.0
-    g = icnn.generating_function(zero_params(c=1.0), np.array([0.4, 0.6]))
+    assert -icnn.forward(zero_params(c=-3.0), np.array([0.4, 0.6])) == 3.0
+    g = -icnn.forward(zero_params(c=1.0), np.array([0.4, 0.6]))
     assert g == -1.0
     assert max(g, icnn.G_FLOOR) == icnn.G_FLOOR
 
@@ -194,8 +194,8 @@ def test_grad_log_g_matches_finite_differences(depth, width):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        lo = np.log(max(icnn.generating_function(theta, x - e), icnn.G_FLOOR))
-        hi = np.log(max(icnn.generating_function(theta, x + e), icnn.G_FLOOR))
+        lo = np.log(max(-icnn.forward(theta, x - e), icnn.G_FLOOR))
+        hi = np.log(max(-icnn.forward(theta, x + e), icnn.G_FLOOR))
         fd = (hi - lo) / (2 * h)
         assert abs(g[i] - fd) / (1.0 + abs(fd)) < 1e-5
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neuralfgp import backtest, icnn, market_data, training
+from neuralfgp import backtest, fgp, icnn, market_data, training
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -75,3 +75,15 @@ def test_warm_started_walk_forward_hands_theta_over_as_json(monkeypatch):
     report = backtest.walk_forward(path, cfg)
     assert report.n_windows > 1
     assert to_json and from_json
+
+
+def test_neural_master_residual_runs_the_icnn_twice(monkeypatch):
+    # one neural_map of rows 0..T-1 serves the weights and the Hessian; generator_value's
+    # icnn.forward over all T+1 rows is the second pass
+    gen = fgp.Generator("neural", theta=icnn.init(3, (4, 4), seed=0))
+    W = np.random.default_rng(0).dirichlet(np.ones(3), 21)
+    layers = counting(monkeypatch, icnn, "forward_layers")
+    gradients = counting(monkeypatch, icnn, "input_gradient")
+    works = counting(monkeypatch, icnn, "Work")
+    backtest.master_residual(gen, W)
+    assert (len(layers), len(gradients), len(works)) == (2, 1, 2)

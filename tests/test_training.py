@@ -121,7 +121,7 @@ def random_case(rng, case):
     }
     window = random_window(rng, n, T + 1)
     probe = icnn.from_arrays(arrays, widths)
-    arrays["c"] = probe.c + icnn.generating_function(probe, window[0]) - rng.choice([4.0, 4.0, 1.0, 0.06, -0.3])
+    arrays["c"] = probe.c - icnn.forward(probe, window[0]) - rng.choice([4.0, 4.0, 1.0, 0.06, -0.3])
     theta = icnn.project_constraints(icnn.from_arrays(arrays, widths))
     return theta, window, training.TrainConfig(lambda_l2=float(rng.choice([0.0, 0.3])))
 
