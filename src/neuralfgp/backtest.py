@@ -10,7 +10,6 @@ restarting at 1.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,9 @@ class WalkForwardConfig:
             raise ConfigError("jobs must be >= 1")
         if self.jobs > 1 and self.warm_start:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
-        self.strategies()  # fgp.Generator checks each p_vals entry before any window trains
+        labels = [gen.label for gen in self.strategies()]  # fgp.Generator checks each p_vals entry
+        if shared := sorted({label for label in labels if labels.count(label) > 1}):  # the report keys rows by label
+            raise ConfigError(f"p_vals {self.p_vals} give two strategies the label {shared[0]!r}")
 
     def strategies(self):
         """The classical benchmark generators, in report order after the FGP."""
@@ -96,7 +97,7 @@ class WalkForwardReport:
         return float(np.mean(np.log(self.terminal[label])))
 
 
-def window_count(n_rows, train_days=200, test_days=20):
+def window_count(n_rows, train_days=WalkForwardConfig.train_days, test_days=WalkForwardConfig.test_days):
     """K = (N - (train + test)) // test; requires at least one window."""
     k = (n_rows - (train_days + test_days)) // test_days
     if k < 1:
@@ -107,7 +108,7 @@ def window_count(n_rows, train_days=200, test_days=20):
 
 
 def _run_window(args):
-    """Train and evaluate one window; returns (terminals, trained theta as JSON).
+    """Train and evaluate one window; returns (terminals, trained theta as JSON, or None without warm start).
 
     theta0_json None trains from a fresh init seeded by the window index.
     Top-level so process pools can pickle it.
@@ -121,7 +122,7 @@ def _run_window(args):
     terminals = {}
     for gen in [fgp.Generator("neural", theta=theta)] + cfg.strategies():
         terminals[gen.label] = relative_wealth(lambda x, g=gen: fgp.weights(g, x), test_slice).terminal
-    return terminals, icnn.to_json(theta)
+    return terminals, icnn.to_json(theta) if cfg.warm_start else None
 
 
 def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardReport:
@@ -142,11 +143,11 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
         results = []
         theta_json = None
         for args in jobs_args:
-            terminals, trained_json = _run_window(args + (theta_json,))
-            if cfg.warm_start:
-                theta_json = trained_json
+            terminals, theta_json = _run_window(args + (theta_json,))
             results.append(terminals)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs the pool
+
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, K)) as pool:
             results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
 

@@ -50,14 +50,14 @@ def layout(n, widths) -> Layout:
 class ICNNParams:
     """Parameters as one contiguous float64 vector `flat`, laid out by layout(n, widths). W (K
     matrices: W[0] is m1 x n, W[k] is m_{k+1} x m_k), U (K-1 matrices: U[k-1] is m_{k+1} x n),
-    b (K bias vectors), w (length m_K) and u (length n) are views into flat; c is its last
-    entry. Treated as an immutable value between steps."""
+    b (K bias vectors), w (length m_K), u (length n) and c (0-d, its last entry) are views into
+    flat, so they read what flat holds now. Treated as an immutable value between steps."""
 
     def __init__(self, flat, n, widths):
-        self.flat, self.n, self.widths, self.c = flat, n, widths, float(flat[-1])
+        self.flat, self.n, self.widths = flat, n, widths
         self._views = {name: flat[sl].reshape(shape) for name, (sl, shape) in layout(n, widths).slots.items()}
         self.W, self.U, self.b = (tuple(v for name, v in self._views.items() if name[0] == p) for p in "WUb")
-        self.w, self.u = self._views["w"], self._views["u"]
+        self.w, self.u, self.c = self._views["w"], self._views["u"], self._views["c"]
 
     def __reduce__(self):  # copies and pickles rebuild the views on the copied vector
         return ICNNParams, (self.flat, self.n, self.widths)
@@ -126,9 +126,9 @@ class Work:
     name: Z and S hold forward_layers' activations and slopes, A and D input_gradient's adjoints
     (D has no last entry: that adjoint is w), and P and E are scratch.
 
-    The passes allocate a fresh set when none is handed in. A caller that repeats them over one
-    row count, as training does every epoch, builds one set and hands it in each time; a pass
-    overwrites what the set held.
+    Whoever owns a batch builds the set and hands it to both passes; a pass overwrites what the
+    set held, so a caller that repeats them over one row count, as training does every epoch,
+    builds one set for all of them.
     """
 
     def __init__(self, rows, widths):
@@ -152,13 +152,12 @@ def softplus_sigmoid(x, z=None, s=None, e=None):
     return z, np.divide(s, np.add(1.0, e, out=e), out=s)
 
 
-def forward_layers(theta: ICNNParams, X, work: Work = None):
+def forward_layers(theta: ICNNParams, X, work: Work):
     """f (m,) at each row of X, with lists Z of softplus(P_k) and S of sigmoid(P_k), each (m, m_k).
 
     P_0 = X W_0^T + b_0, P_k = Z_{k-1} W_k^T + X U_k^T + b_k and f = Z_K w + X u + c.
     Returns (f, Z, S); Z and S are work's arrays.
     """
-    work = Work(len(X), theta.widths) if work is None else work
     Z, S, P, E = work.Z, work.S, work.P, work.E
     for k, W in enumerate(theta.W):
         np.matmul(Z[k - 1] if k else X, W.T, out=P[k])
@@ -168,13 +167,12 @@ def forward_layers(theta: ICNNParams, X, work: Work = None):
     return Z[-1] @ theta.w + X @ theta.u + theta.c, Z, S
 
 
-def input_gradient(theta: ICNNParams, S, work: Work = None):
+def input_gradient(theta: ICNNParams, S, work: Work):
     """grad_x f at each row, backpropagated by hand through the sigmoids S of forward_layers().
 
     D[K-1] = w and D[j-1] = A[j] W_j are the adjoints of the activations, A[j] = S[j] * D[j]
     those of the pre-activations. Returns (A, D, grad_f (m, n)); A and D[:-1] are work's arrays.
     """
-    work = Work(len(S[0]), theta.widths) if work is None else work
     A, D = work.A, work.D + [theta.w]
     grad = None
     for j in range(len(theta.W) - 1, -1, -1):
@@ -191,7 +189,8 @@ def forward(theta: ICNNParams, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
         raise DimensionError(f"forward: expected input of shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
-    f, _, _ = forward_layers(theta, np.atleast_2d(x))
+    X = np.atleast_2d(x)
+    f, _, _ = forward_layers(theta, X, Work(len(X), theta.widths))
     return float(f[0]) if x.ndim == 1 else f
 
 

@@ -168,12 +168,9 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
     d_f = d_G * -1.0
     d_grad = d_g_raw / G_col * -1.0
 
-    # the gradient goes straight into views of one flat vector in theta's layout
-    flat = np.empty_like(theta.flat)
-    slots = icnn.layout(theta.n, theta.widths).slots
-    d = {name: flat[sl].reshape(shape) for name, (sl, shape) in slots.items()}
-    d_W = [d[f"W{k}"] for k in range(K)]
-    d_U = [None] + [d[f"U{k}"] for k in range(1, K)]
+    # the gradient goes straight into the views of an ICNNParams in theta's layout
+    grads = icnn.ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths)
+    d_W, d_U = grads.W, (None,) + grads.U
 
     # back through the input-gradient recursion, first term first; d_A and d_D go into P[j],
     # d_sig[j] into A[j] after A[j]'s last read
@@ -190,7 +187,7 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
             d_A = np.matmul(d_grad, Us[j + 1].T, out=P[j + 1])
             np.add(d_A, np.matmul(d_D, Ws[j + 1].T, out=E[j + 1]), out=d_A)
     d_sig = A
-    d["w"][...] = Z[-1].T @ d_f + d_D.sum(axis=0)
+    grads.w[...] = Z[-1].T @ d_f + d_D.sum(axis=0)
 
     # back through the ICNN forward, last layer first: d_P = d_Z * S[k] + d_sig[k] * S[k] * (1 - S[k]),
     # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use
@@ -200,7 +197,7 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
         np.multiply(d_sig[k], S[k], out=d_sig[k])
         np.multiply(d_sig[k], np.subtract(1.0, S[k], out=S[k]), out=d_sig[k])
         d_P = np.add(d_Z, d_sig[k], out=d_Z)
-        d[f"b{k}"][...] = d_P.sum(axis=0)
+        grads.b[k][...] = d_P.sum(axis=0)
         if k:
             np.add((Z[k - 1].T @ d_P).T, d_W[k], out=d_W[k])
             np.add((X.T @ d_P).T, d_U[k], out=d_U[k])
@@ -208,11 +205,11 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
         else:
             np.add((X.T @ d_P).T, d_W[0], out=d_W[0])
 
-    d["u"][...] = X.T @ d_f + d_grad.sum(axis=0)
-    d["c"][...] = d_f.sum(axis=0)
-    if not np.isfinite(flat).all():
+    grads.u[...] = X.T @ d_f + d_grad.sum(axis=0)
+    grads.c[...] = d_f.sum(axis=0)
+    if not np.isfinite(grads.flat).all():
         raise NumericError("training gradient is not finite")
-    return parts, icnn.ICNNParams(flat, theta.n, theta.widths)
+    return parts, grads
 
 
 @_quiet

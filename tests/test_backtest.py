@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 
@@ -178,6 +179,13 @@ def test_walk_forward_config_checks_exponents_before_any_window_trains(p_vals):
         backtest.WalkForwardConfig(p_vals=p_vals)
 
 
+@pytest.mark.parametrize("p_vals", [(0.5, 0.5), (0.5, 0.50000001), (0.3, 0.8, 0.30000000001)])
+def test_walk_forward_config_refuses_two_strategies_with_one_label(p_vals):
+    # the report keys terminal wealth by label, so a second DWP of the same label would replace the first
+    with pytest.raises(ConfigError, match="label 'DWP p=0.[35]'"):
+        backtest.WalkForwardConfig(p_vals=p_vals)
+
+
 def test_walk_forward_strategy_labels():
     path = weights_from_gbm(n_assets=2, n_days=60, seed=4)
     report = backtest.walk_forward(path, fast_walk_config())
@@ -243,7 +251,7 @@ def test_walk_forward_pool_has_at_most_one_worker_per_window(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(backtest, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     path = weights_from_gbm(n_assets=2, n_days=70, seed=9)
     a = backtest.walk_forward(path, fast_walk_config(warm_start=False, jobs=1))
     b = backtest.walk_forward(path, fast_walk_config(warm_start=False, jobs=99999999999))

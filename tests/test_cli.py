@@ -232,6 +232,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({}, ["backtest", "--widths", "4,x"], 2),
         # an exponent outside (0, 1) is rejected before the data is read: exit 2, not 3
         ({}, ["backtest", "--data", "{tmp}/missing.csv", "--p-vals", "0.5,1.5"], 2),
+        # two exponents that print the same label would merge into one report row
+        ({}, ["backtest", "--data", "{tmp}/missing.csv", "--p-vals", "0.5,0.50000001"], 2),
         # a learning rate so large that the third Adam step overflows the parameters
         ({}, ["train", "--n", "3", "--days", "60", *FAST, "--epochs", "3", "--lr", "1e308", "--out", "{tmp}/run"], 4),
         # sizes no numpy array can hold: a price path and a parameter vector
@@ -246,6 +248,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
         "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
+        "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
     ],
 )
@@ -263,6 +266,17 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_importing_cli_loads_no_process_pool():
+    # only a backtest with --jobs > 1 starts a pool, and it imports one then
+    code = (
+        "import sys, neuralfgp.cli; pool = [m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')]; assert not pool, pool"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):

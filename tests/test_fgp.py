@@ -248,8 +248,9 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     gen = fgp.Generator("neural", theta=theta)
 
     def grad_f(X):
-        _, _, S = icnn.forward_layers(theta, X)
-        return icnn.input_gradient(theta, S)[2]
+        work = icnn.Work(len(X), theta.widths)
+        _, _, S = icnn.forward_layers(theta, X, work)
+        return icnn.input_gradient(theta, S, work)[2]
 
     h = 1e-5
     for x in random_simplex(rng, 4, 5):

@@ -62,6 +62,16 @@ def test_named_arrays_are_views_of_the_flat_vector():
     assert theta.c == theta["c"] == theta.flat[-1]
 
 
+def test_views_read_a_vector_written_after_construction():
+    # loss_gradients builds its gradient's ICNNParams on an empty vector and then fills it
+    flat = np.zeros(icnn.layout(3, (4,)).lower.size)
+    theta = icnn.ICNNParams(flat, 3, (4,))
+    flat[:] = np.arange(flat.size)
+    assert theta.c == flat[-1] == flat.size - 1
+    assert theta.c.shape == () and np.shares_memory(theta.c, flat)
+    assert (theta.u == flat[-4:-1]).all()
+
+
 def test_arrays_order_matches_to_json():
     theta = icnn.init(3, (4, 5), seed=2)
     doc = json.loads(icnn.to_json(theta))["arrays"]

@@ -9,6 +9,7 @@ theta between warm-started windows. A change that stops those calls must fail
 here too.
 """
 
+import concurrent.futures
 import importlib
 import importlib.util
 from pathlib import Path
@@ -75,6 +76,20 @@ def test_warm_started_walk_forward_hands_theta_over_as_json(monkeypatch):
     report = backtest.walk_forward(path, cfg)
     assert report.n_windows > 1
     assert to_json and from_json
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_walk_forward_without_warm_start_makes_no_json(monkeypatch, jobs):
+    # a thread pool stands in for the process pool, so calls made inside a window are counted
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+    to_json = counting(monkeypatch, icnn, "to_json")
+    prices = market_data.gbm_simulate(market_data.GbmConfig(n_assets=3, n_days=60, seed=1))
+    path = market_data.normalize_to_weights(prices)
+    cfg = backtest.WalkForwardConfig(train_days=20, test_days=10, widths=(3,), train=training.TrainConfig(epochs=2),
+                                     warm_start=False, jobs=jobs)
+    report = backtest.walk_forward(path, cfg)
+    assert report.n_windows > 1
+    assert to_json == []
 
 
 def test_neural_master_residual_runs_the_icnn_twice(monkeypatch):
