@@ -28,15 +28,24 @@ class PortfolioWeights:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.float64)
-        if not np.isfinite(pi).all():
-            raise NumericError("portfolio weights must be finite")
-        sums = np.atleast_1d(pi.sum(axis=-1))
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
-        if bad.size:
-            raise NumericError(f"portfolio weights sum to {sums[bad[0]]!r}, not 1")
-        if np.any(pi < 0):
-            raise NumericError("portfolio weights must be nonnegative")
+        # one test for valid weights (a NaN or inf entry makes its row's sum miss 1 too); only a
+        # failure runs the checks one by one, to say which fails
+        sums_ok = pi.ndim and np.abs(pi.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-10
+        if not (sums_ok and pi.min(initial=np.inf) >= 0.0):
+            _check_weights(pi)
         object.__setattr__(self, "pi", pi)
+
+
+def _check_weights(pi):
+    """PortfolioWeights' checks one by one, in order of precedence, to say which one fails."""
+    if not np.isfinite(pi).all():
+        raise NumericError("portfolio weights must be finite")
+    sums = np.atleast_1d(pi.sum(axis=-1))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+    if bad.size:
+        raise NumericError(f"portfolio weights sum to {sums[bad[0]]!r}, not 1")
+    if np.any(pi < 0):
+        raise NumericError("portfolio weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,23 +139,26 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
     generators; exact for the neural one, by neural_hessian over a neural_map of the rows."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    diag = np.eye(n, dtype=bool)
-    outer = x[..., :, None] * x[..., None, :]
     if gen.kind == "constant":
-        return np.zeros_like(outer)
+        return np.zeros(x.shape + (n,))
+    if gen.kind == "neural":
+        return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(x.shape + (n,))
+    # the classical kinds write the diagonal of each (n, n) block through its einsum view
     if gen.kind == "equal":
         G = np.expand_dims(generator_value(gen, x), -1)
-        off = G[..., None] / (n * n * outer)
-        return np.where(diag, (G * (1.0 - n) / (n * n * x * x))[..., None, :], off)
-    if gen.kind == "diversity":
+        H = G[..., None] / (n * n * (x[..., :, None] * x[..., None, :]))
+        np.einsum("...ii->...i", H)[...] = G * (1.0 - n) / (n * n * x * x)
+    elif gen.kind == "diversity":
         p = gen.p
         S = np.sum(x**p, axis=-1, keepdims=True)
         xp1 = x ** (p - 1.0)
         H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
-        return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
-    if gen.kind == "entropy":
-        return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
-    return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(outer.shape)
+        diag = np.einsum("...ii->...i", H)
+        diag += (p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0)
+    else:  # entropy
+        H = np.zeros(x.shape + (n,))
+        np.einsum("...ii->...i", H)[...] = -1.0 / x
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +189,7 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     G = -f
     G_col = np.maximum(G, icnn.G_FLOOR).reshape(-1, 1)
     grad_log_g = neg_grad_f / G_col
-    pi_raw = raw_fgp_weights(np.clip(grad_log_g, -GRAD_CLIP, GRAD_CLIP), X)
+    pi_raw = raw_fgp_weights(np.minimum(np.maximum(grad_log_g, -GRAD_CLIP), GRAD_CLIP), X)
     pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
     pi_sum = pi_floored.sum(axis=1, keepdims=True)
     pi = pi_floored / pi_sum

@@ -51,7 +51,8 @@ class ICNNParams:
     """Parameters as one contiguous float64 vector `flat`, laid out by layout(n, widths). W (K
     matrices: W[0] is m1 x n, W[k] is m_{k+1} x m_k), U (K-1 matrices: U[k-1] is m_{k+1} x n),
     b (K bias vectors), w (length m_K), u (length n) and c (0-d, its last entry) are views into
-    flat, so they read what flat holds now. Treated as an immutable value between steps."""
+    flat, so they read what flat holds now. Treated as an immutable value between steps;
+    project_constraints, which writes in place, is handed only a fresh one."""
 
     def __init__(self, flat, n, widths):
         self.flat, self.n, self.widths = flat, n, widths
@@ -100,8 +101,9 @@ def init(n, widths, seed) -> ICNNParams:
 
 
 def project_constraints(theta: ICNNParams) -> ICNNParams:
-    """Clamp every constrained entry at zero. Idempotent."""
-    return ICNNParams(np.maximum(theta.flat, layout(theta.n, theta.widths).lower), theta.n, theta.widths)
+    """Clamp every constrained entry of theta at zero, in place, and return theta. Idempotent."""
+    np.maximum(theta.flat, layout(theta.n, theta.widths).lower, out=theta.flat)
+    return theta
 
 
 def from_arrays(arrays, widths) -> ICNNParams:

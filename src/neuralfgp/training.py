@@ -48,6 +48,9 @@ class AdamState:
     v: np.ndarray  # second-moment estimate, likewise
     step: int = 0
 
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))  # where adam_step puts its temporaries
+
     @classmethod
     def for_params(cls, theta: icnn.ICNNParams):
         return cls(np.zeros_like(theta.flat), np.zeros_like(theta.flat))
@@ -216,20 +219,25 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
 def adam_step(theta: icnn.ICNNParams, grads: icnn.ICNNParams, state: AdamState, cfg: TrainConfig):
     """Standard Adam with bias correction on the flat vector, then the convexity projection.
 
-    state.m and state.v are updated in place; theta is not, as train_window may keep it as
-    its best iterate. NumericError if the step overflows.
+    state.m and state.v are updated in place, and every temporary goes into state.scratch, so
+    the one new array is the new iterate, projected in place. theta is not written, as
+    train_window may keep it as its best iterate. NumericError if the step overflows.
     """
     state.step += 1
     t = state.step
     lr, b1, b2 = cfg.learning_rate, ADAM_BETA1, ADAM_BETA2
-    g = grads.flat
+    g, (a, b) = grads.flat, state.scratch
+    # the operations and operand order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # theta - lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), written into a and b
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += np.multiply(1.0 - b1, g, out=a)
     state.v *= b2
-    state.v += (1.0 - b2) * g * g
-    m_hat = state.m / (1.0 - b1**t)
-    v_hat = state.v / (1.0 - b2**t)
-    updated = theta.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(1.0 - b2, g, out=a)
+    state.v += np.multiply(a, g, out=a)
+    step = np.multiply(lr, np.divide(state.m, 1.0 - b1**t, out=a), out=a)
+    denom = np.sqrt(np.divide(state.v, 1.0 - b2**t, out=b), out=b)
+    denom += ADAM_EPS
+    updated = theta.flat - np.divide(step, denom, out=a)
     if not np.isfinite(updated).all():
         raise NumericError("training step is not finite")
     return icnn.project_constraints(icnn.ICNNParams(updated, theta.n, theta.widths)), state

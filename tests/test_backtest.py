@@ -1,12 +1,13 @@
 import concurrent.futures
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from neuralfgp import backtest, fgp, icnn, market_data as md, training
-from neuralfgp.errors import ConfigError, DataError, DimensionError
+from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
 
 
 def market_fn(x):
@@ -62,6 +63,62 @@ def test_relative_wealth_is_multiplicative():
 def test_relative_wealth_rejects_short_input():
     with pytest.raises(DataError):
         backtest.relative_wealth(ewp_fn, np.array([[0.5, 0.5]]))
+
+
+def asset_0_fn(x):
+    """Every weight on asset 0, so step s earns W[s, 0] / W[s - 1, 0]."""
+    return fgp.PortfolioWeights(np.eye(x.shape[-1])[np.zeros(len(x), dtype=int)])
+
+
+def path_with(row, values, rows=8):
+    W = np.full((rows, 3), 1.0 / 3.0)
+    W[row] = values
+    return W
+
+
+# each valid input passes one combined test; a failing one must still name the first check it
+# fails, in the checks' order (finite, sum, sign; start, sign; the first bad step)
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: fgp.PortfolioWeights([[0.5, 0.5, 0.0], [np.nan, -0.5, 1.5]]), NumericError, "must be finite"),
+        (lambda: fgp.PortfolioWeights([[np.inf, 0.0, 0.0]]), NumericError, "must be finite"),
+        (
+            lambda: fgp.PortfolioWeights([[1.5, -0.5, 0.0], [0.5, 0.5, 0.25], [0.5, 0.5, 0.5]]),
+            NumericError,
+            re.escape(f"sum to {np.float64(1.25)!r}, not 1"),
+        ),
+        (lambda: fgp.PortfolioWeights([0.5, 0.75]), NumericError, re.escape(f"sum to {np.float64(1.25)!r}, not 1")),
+        (lambda: fgp.PortfolioWeights([[0.5, 0.5, 0.0], [1.5, -0.5, 0.0]]), NumericError, "must be nonnegative"),
+        (lambda: backtest.RelativeWealthPath(np.array([1.5, 2.0])), NumericError, "must start at 1"),
+        (lambda: backtest.RelativeWealthPath(np.array([0.5, -1.0])), NumericError, "must start at 1"),
+        (lambda: backtest.RelativeWealthPath(np.array([np.nan, 1.0])), NumericError, "must start at 1"),
+        (lambda: backtest.RelativeWealthPath(np.array([1.0, 2.0, 0.0])), NumericError, "must stay positive"),
+        (lambda: backtest.RelativeWealthPath(np.array([1.0, np.nan])), NumericError, "must stay positive"),
+        # W[2, 0] = 0: step 2 earns 0 and step 3 earns 1/0
+        (lambda: backtest.relative_wealth(asset_0_fn, path_with(2, [0.0, 0.5, 0.5])), DataError, "at step 2$"),
+        (lambda: backtest.relative_wealth(ewp_fn, path_with(4, [np.nan, 0.5, 0.5])), DataError, "at step 4$"),
+        (lambda: backtest.relative_wealth(ewp_fn, path_with(7, [np.inf, 0.5, 0.5])), DataError, "at step 7$"),
+    ],
+    ids=[
+        "weights-nan-and-negative",
+        "weights-inf",
+        "weights-first-bad-sum-before-sign",
+        "weights-point-bad-sum",
+        "weights-negative",
+        "wealth-start",
+        "wealth-start-before-sign",
+        "wealth-nan-start",
+        "wealth-zero",
+        "wealth-nan",
+        "steps-zero-then-inf",
+        "steps-nan",
+        "steps-inf",
+    ],
+)
+def test_failing_checks_name_the_first_failure(build, error, message):
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(error, match=message):
+        build()
 
 
 # --- window layout ------------------------------------------------------------
@@ -161,6 +218,65 @@ def test_neural_master_residual_matches_the_public_maps_bit_for_bit(widths, n):
         assert got.log_v != 0.0 and got.drift_integral != 0.0
     with pytest.raises(DimensionError):
         backtest.master_residual(gen, np.full((8, n + 1), 1.0 / (n + 1)))
+
+
+def hessian_with_mask(gen, x):
+    """The classical Hessians as first written: an (m, n, n) outer product and an np.eye mask for every kind."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    diag = np.eye(n, dtype=bool)
+    outer = x[..., :, None] * x[..., None, :]
+    if gen.kind == "constant":
+        return np.zeros_like(outer)
+    if gen.kind == "equal":
+        G = np.expand_dims(fgp.generator_value(gen, x), -1)
+        off = G[..., None] / (n * n * outer)
+        return np.where(diag, (G * (1.0 - n) / (n * n * x * x))[..., None, :], off)
+    if gen.kind == "diversity":
+        p = gen.p
+        S = np.sum(x**p, axis=-1, keepdims=True)
+        xp1 = x ** (p - 1.0)
+        H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
+        return H + np.where(diag, ((p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0))[..., None, :], 0.0)
+    return np.where(diag, (-1.0 / x)[..., None, :], 0.0)
+
+
+def wealth_by_cumprod(gen, W):
+    """The relative wealth path as a cumprod of 1 followed by the step returns."""
+    r = (fgp.weights(gen, W[:-1]).pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
+    return np.cumprod(np.concatenate([[1.0], r]))
+
+
+def split_by_first_formulas(gen, W):
+    """master_residual for a classical generator, spelled with the cumprod wealth, np.diff log
+    increments and the masked Hessian."""
+    if gen.kind == "constant":
+        return backtest.MasterDecomposition(0.0, 0.0, 0.0, 0.0)
+    log_v = float(np.log(wealth_by_cumprod(gen, W)[-1]))
+    G = fgp.generator_value(gen, W)
+    log_g_ratio = float(np.log(G[-1] / G[0]))
+    x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], hessian_with_mask(gen, W[:-1]), x_dlog, x_dlog))
+    return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
+
+
+CLASSICAL = [fgp.Generator("equal"), fgp.Generator("constant"), fgp.Generator("entropy")]
+CLASSICAL += [fgp.Generator("diversity", p=p) for p in (0.3, 0.5, 0.8)]
+
+
+@pytest.mark.parametrize("gen", CLASSICAL, ids=lambda gen: gen.label)
+@pytest.mark.parametrize("n", [2, 5])
+def test_classical_master_residual_matches_the_first_formulas_bit_for_bit(gen, n):
+    for T in (1, 7, 20, 200):
+        W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights
+        got, want = backtest.master_residual(gen, W), split_by_first_formulas(gen, W)
+        assert np.array(dataclasses.astuple(got)).tobytes() == np.array(dataclasses.astuple(want)).tobytes(), T
+        wealth = backtest.relative_wealth(lambda x: fgp.weights(gen, x), W).v
+        assert wealth.tobytes() == wealth_by_cumprod(gen, W).tobytes(), T
+        for x in (W, W[0]):  # a batch and a point
+            assert fgp.generator_hessian(gen, x).tobytes() == hessian_with_mask(gen, x).tobytes(), T
+    if gen.kind != "constant":  # the T = 200 split is not trivially equal
+        assert got.log_v != 0.0 and got.drift_integral != 0.0
 
 
 def test_master_terms_nontrivial_on_volatile_path():

@@ -277,9 +277,11 @@ def test_flat_adam_matches_per_array_loop_bit_for_bit():
     clamped = 0
     for _ in range(20):
         grads = icnn.ICNNParams(rng.normal(size=theta.flat.size), theta.n, theta.widths)
+        old_theta, old_flat = theta, theta.flat.copy()
         theta, state = training.adam_step(theta, grads, state, cfg)
         ref_theta = adam_step_per_array(ref_theta, grads, ref_state, cfg)
         assert theta.flat.tobytes() == ref_theta.flat.tobytes()
+        assert old_theta.flat.tobytes() == old_flat.tobytes()  # the iterate handed in is not written
         assert state.m is m and state.v is v  # the moments are updated in place
         clamped += np.count_nonzero(theta.flat[constrained] == 0.0)
     assert state.m.tobytes() == np.concatenate(list(ref_state.m.values()), axis=None).tobytes()
