@@ -185,10 +185,14 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     weights and Hessian share one fgp.neural_map of rows 0..T-1; G keeps its own (T+1)-row pass.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] < 2:
+        raise DataError("relative_wealth needs at least 2 rows")
+    if not (W.min(initial=np.inf) > 0.0 and W.max(initial=0.0) < np.inf):  # a NaN fails both
+        raise DataError("weights must be finite and positive")
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
     weights_fn, hessian = lambda x: fgp.weights(gen, x), lambda X: fgp.generator_hessian(gen, X)
-    if gen.kind == "neural" and W.ndim == 2:  # relative_wealth rejects any other shape
+    if gen.kind == "neural":
         nm = fgp.neural_map(gen.theta, W[:-1])
         weights_fn, hessian = lambda x: fgp.PortfolioWeights(nm.pi), lambda X: fgp.neural_hessian(gen.theta, nm)
     log_v = float(np.log(relative_wealth(weights_fn, W).terminal))

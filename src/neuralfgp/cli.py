@@ -1,9 +1,9 @@
 """Command-line entry point: simulate, fetch, train, backtest, report.
 
-Every flag has a config-file equivalent (flat key=value lines, keys in
-snake_case); command-line flags override file values. All randomness funnels
-through one master seed: it seeds the data simulation itself and per-window
-training at the fixed offset TRAIN_SEED_OFFSET.
+Every flag has a config-file key (flat key=value lines): the flag without its leading dashes and
+with dashes turned into underscores, so --train-days is train_days and --lambda is lambda. Flags
+override file values. All randomness funnels through one master seed: it seeds the data
+simulation itself and per-window training at the fixed offset TRAIN_SEED_OFFSET.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import backtest, icnn, market_data, training
 from .errors import ConfigError, DataError, NumericError
@@ -23,35 +22,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 TRAIN_SEED_OFFSET = 1000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's settings; GbmConfig, TrainConfig and WalkForwardConfig own their defaults and checks."""
-
-    use_real: bool = False
-    n: int = market_data.GbmConfig.n_assets
-    y: int = 5
-    p_vals: tuple = backtest.WalkForwardConfig.p_vals
-    days: int = market_data.GbmConfig.n_days
-    data_path: str = None
-    train_days: int = backtest.WalkForwardConfig.train_days
-    test_days: int = backtest.WalkForwardConfig.test_days
-    epochs: int = training.TrainConfig.epochs
-    lr: float = training.TrainConfig.learning_rate
-    lam: float = training.TrainConfig.lambda_l2
-    widths: tuple = backtest.WalkForwardConfig.widths
-    seed: int = 0
-    warm_start: bool = backtest.WalkForwardConfig.warm_start
-    jobs: int = backtest.WalkForwardConfig.jobs
-    out: str = "out"
-    svg: bool = False
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.use_real and self.y < 1:
-            raise ConfigError("y (years of history) must be >= 1 for real data")
 
 
 def float_list(text):
@@ -72,33 +42,54 @@ def boolean(text):
     return word in ("1", "true", "yes", "on")
 
 
-Option = namedtuple("Option", "flag parse help")
+def setting(default, flag, parse, help):
+    """A RunConfig field with its flag, the parser of its flag and config-file value, and its help."""
+    return field(default=default, metadata={"flag": flag, "parse": parse, "help": help})
 
-# each RunConfig field's flag, the parser of both its flag and its config-file value, and its
-# help; a boolean field's flag is a switch that turns it on
-OPTIONS = {
-    "use_real": Option("--use-real", boolean, "read the last 252 * years rows of --data"),
-    "n": Option("--n", int, "number of assets"),
-    "y": Option("--years", int, "years of real history"),
-    "p_vals": Option("--p-vals", float_list, "comma-separated diversity exponents"),
-    "days": Option("--days", int, "synthetic path length"),
-    "data_path": Option("--data", str, "wide-format price CSV"),
-    "train_days": Option("--train-days", int, "rows per training window"),
-    "test_days": Option("--test-days", int, "rows per test slice"),
-    "epochs": Option("--epochs", int, "training epochs per window"),
-    "lr": Option("--lr", float, "Adam learning rate"),
-    "lam": Option("--lambda", float, "l2 penalty coefficient"),
-    "widths": Option("--widths", int_list, "comma-separated hidden layer widths"),
-    "seed": Option("--seed", int, "master seed of the simulation and of training"),
-    "warm_start": Option("--warm-start", boolean, "carry parameters across walk-forward windows (default)"),
-    "jobs": Option("--jobs", int, "parallel walk-forward workers"),
-    "out": Option("--out", str, "output file (simulate/fetch) or directory"),
-    "svg": Option("--svg", boolean, "also write an SVG chart"),
-}
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings; GbmConfig, TrainConfig and WalkForwardConfig own their defaults and checks."""
+
+    use_real: bool = setting(False, "--use-real", boolean, "read the last 252 * years rows of --data")
+    n: int = setting(market_data.GbmConfig.n_assets, "--n", int, "number of assets")
+    years: int = setting(5, "--years", int, "years of real history")
+    p_vals: tuple = setting(
+        backtest.WalkForwardConfig.p_vals, "--p-vals", float_list, "comma-separated diversity exponents"
+    )
+    days: int = setting(market_data.GbmConfig.n_days, "--days", int, "synthetic path length")
+    data: str = setting(None, "--data", str, "wide-format price CSV")
+    train_days: int = setting(backtest.WalkForwardConfig.train_days, "--train-days", int, "rows per training window")
+    test_days: int = setting(backtest.WalkForwardConfig.test_days, "--test-days", int, "rows per test slice")
+    epochs: int = setting(training.TrainConfig.epochs, "--epochs", int, "training epochs per window")
+    lr: float = setting(training.TrainConfig.learning_rate, "--lr", float, "Adam learning rate")
+    lam: float = setting(training.TrainConfig.lambda_l2, "--lambda", float, "l2 penalty coefficient")
+    widths: tuple = setting(
+        backtest.WalkForwardConfig.widths, "--widths", int_list, "comma-separated hidden layer widths"
+    )
+    seed: int = setting(0, "--seed", int, "master seed of the simulation and of training")
+    warm_start: bool = setting(
+        backtest.WalkForwardConfig.warm_start, "--warm-start", boolean,
+        "carry parameters across walk-forward windows (default)",
+    )
+    jobs: int = setting(backtest.WalkForwardConfig.jobs, "--jobs", int, "parallel walk-forward workers")
+    out: str = setting(None, "--out", str, "output file of simulate (default prices.csv) or directory (default out)")
+    svg: bool = setting(False, "--svg", boolean, "also write an SVG chart")
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.use_real and self.years < 1:
+            raise ConfigError("years (of history) must be >= 1 for real data")
+
+
+OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
+# config key -> field name; every key but lambda, a Python keyword, is its field's name
+KEYS = {opt["flag"][2:].replace("-", "_"): name for name, opt in OPTIONS.items()}
 
 
 def parse_config_file(path):
-    """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
+    """Flat key=value lines; '#' starts a comment; unknown keys rejected. Returns field name -> value."""
     values = {}
     try:
         with open(path) as fh:
@@ -112,12 +103,10 @@ def parse_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key == "lambda":
-            key = "lam"
-        if key not in OPTIONS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = OPTIONS[key].parse(raw)
+            values[KEYS[key]] = OPTIONS[KEYS[key]]["parse"](raw)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: config key {key}: cannot parse {raw!r}") from None
     return values
@@ -135,13 +124,13 @@ def _simulate(cfg: RunConfig):
 
 def _load_weights(cfg: RunConfig):
     """Market weights from the configured source (CSV or seeded GBM)."""
-    if not (cfg.use_real or cfg.data_path):
+    if not (cfg.use_real or cfg.data):
         return market_data.normalize_to_weights(_simulate(cfg))
-    if not cfg.data_path:
+    if not cfg.data:
         raise ConfigError("use_real requires --data (a price CSV); live fetching is opt-in via `fetch`")
-    prices = market_data.load_prices_csv(cfg.data_path)
-    if cfg.use_real:  # the last 252 * y rows, or the whole file if it is shorter
-        rows = 252 * cfg.y
+    prices = market_data.load_prices_csv(cfg.data)
+    if cfg.use_real:  # the last 252 * years rows, or the whole file if it is shorter
+        rows = 252 * cfg.years
         prices = market_data.PricePath(prices.dates[-rows:], prices.prices[-rows:], prices.tickers)
     return market_data.normalize_to_weights(prices)
 
@@ -166,7 +155,7 @@ def _walk_config(cfg: RunConfig):
 def cmd_simulate(args):
     cfg = build_run_config(args)
     prices = _simulate(cfg)
-    out = args.out or "prices.csv"
+    out = cfg.out or "prices.csv"
     market_data.write_prices_csv(out, prices)
     print(f"wrote {prices.prices.shape[0]} days x {prices.prices.shape[1]} assets (seed {cfg.seed}) to {out}")
     return EXIT_OK
@@ -180,6 +169,7 @@ def cmd_fetch(args):
 
 def cmd_train(args):
     cfg = build_run_config(args)
+    out = cfg.out or "out"
     train_cfg = backtest.WalkForwardConfig(train_days=cfg.train_days, train=_train_config(cfg)).train  # train_days >= 2
     weights = _load_weights(cfg)
     needed = cfg.train_days + 1
@@ -188,26 +178,27 @@ def cmd_train(args):
     window = weights.weights[:needed]
     theta0 = icnn.init(weights.n_assets, cfg.widths, seed=cfg.seed + TRAIN_SEED_OFFSET)
     theta, log_rows = training.train_window(theta0, window, train_cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    icnn.save(theta, os.path.join(cfg.out, "theta.json"))
-    training.write_training_log(os.path.join(cfg.out, "training_log.csv"), log_rows)
+    os.makedirs(out, exist_ok=True)
+    icnn.save(theta, os.path.join(out, "theta.json"))
+    training.write_training_log(os.path.join(out, "training_log.csv"), log_rows)
     best = min(row[1] for row in log_rows)
     print(f"trained {cfg.epochs} epochs on {cfg.train_days} days; best loss {best:.6g}")
-    print(f"artifacts in {cfg.out}/: theta.json, training_log.csv")
+    print(f"artifacts in {out}/: theta.json, training_log.csv")
     return EXIT_OK
 
 
 def cmd_backtest(args):
     cfg = build_run_config(args)
+    out = cfg.out or "out"
     walk_cfg = _walk_config(cfg)
     report = backtest.walk_forward(_load_weights(cfg), walk_cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    backtest.write_window_csv(os.path.join(cfg.out, "windows.csv"), report)
-    backtest.write_summary_csv(os.path.join(cfg.out, "summary.csv"), report)
+    os.makedirs(out, exist_ok=True)
+    backtest.write_window_csv(os.path.join(out, "windows.csv"), report)
+    backtest.write_summary_csv(os.path.join(out, "summary.csv"), report)
     if cfg.svg:
-        backtest.write_svg(os.path.join(cfg.out, "terminal_wealth.svg"), report)
+        backtest.write_svg(os.path.join(out, "terminal_wealth.svg"), report)
     _print_summary(backtest.summarize(report))
-    print(f"reports in {cfg.out}/")
+    print(f"reports in {out}/")
     return EXIT_OK
 
 
@@ -230,10 +221,10 @@ def _print_summary(rows):
 def _add_common_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     for name, opt in OPTIONS.items():
-        if opt.parse is boolean:
-            p.add_argument(opt.flag, dest=name, action="store_const", const=True, help=opt.help)
+        if opt["parse"] is boolean:
+            p.add_argument(opt["flag"], dest=name, action="store_const", const=True, help=opt["help"])
         else:
-            p.add_argument(opt.flag, dest=name, type=opt.parse, help=opt.help)
+            p.add_argument(opt["flag"], dest=name, type=opt["parse"], help=opt["help"])
     p.add_argument(
         "--no-warm-start", dest="warm_start", action="store_const", const=False,
         help="train each window from a fresh seeded init",

@@ -4,6 +4,14 @@ gradients and Hessians.
 
 Every map takes a point of shape (n,) or a batch of shape (m, n) and works
 row by row on the last axis, so a batch row never reads another row.
+
+Three safety nets guard the neural map, each with zero gradient where it binds. The G floor
+reads G as max(G, G_FLOOR), here and in generator_value; the gradient passes where G > G_FLOOR.
+The grad clip caps each component of grad log G at +-GRAD_CLIP; it passes where
+|grad log G| < GRAD_CLIP. The weight floor takes max(pi_raw, PORTFOLIO_WEIGHT_FLOOR), then
+renormalises; it passes where pi_raw > PORTFOLIO_WEIGHT_FLOOR.
+test_loss_gradients_bit_identical_to_tape checks the training gradient's masks against the
+autodiff tape on cases where each net binds.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ import numpy as np
 from . import icnn
 from .errors import ConfigError, DimensionError, NumericError
 
-PORTFOLIO_WEIGHT_FLOOR = 1e-6  # neural weights are floored here, then renormalised
+G_FLOOR = 1e-8  # the neural G is read as max(G, G_FLOOR)
 GRAD_CLIP = 10.0  # componentwise cap on grad log G for the neural map
+PORTFOLIO_WEIGHT_FLOOR = 1e-6  # neural weights are floored here, then renormalised
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ def generator_value(gen: Generator, x):
     elif gen.kind == "entropy":
         G = -np.sum(x * np.log(x), axis=-1)
     else:
-        G = np.maximum(-icnn.forward(gen.theta, x), icnn.G_FLOOR)
+        G = np.maximum(-icnn.forward(gen.theta, x), G_FLOOR)
     return float(G) if x.ndim == 1 else G
 
 
@@ -173,13 +182,10 @@ NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g pi_ra
 
 
 def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
-    """Neural weights at each row of X: grad log G -> componentwise clip at +-GRAD_CLIP ->
-    generic FGP map (raw_fgp_weights) -> floor at PORTFOLIO_WEIGHT_FLOOR and renormalise.
-
-    G is floored at G_FLOOR before the division. The values equal those of the autodiff graph of
-    training.build_loss bit for bit, though its nodes (the clip is two negated maxima) differ.
-    Z, S, A and D live in work's arrays (fresh ones when work is None). X must be (m, theta.n).
-    """
+    """Neural weights at each row of X (m, theta.n): grad log G over the G floor -> clip ->
+    generic FGP map (raw_fgp_weights) -> weight floor and renormalise. The values equal those of
+    training.build_loss's autodiff graph bit for bit, though its nodes (the clip is two negated
+    maxima) differ. Z, S, A and D live in work's arrays (fresh ones when work is None)."""
     if X.ndim != 2 or X.shape[1] != theta.n:
         raise DimensionError(f"neural map: expected rows of shape (m, {theta.n}), got {X.shape}")
     work = icnn.Work(len(X), theta.widths) if work is None else work
@@ -187,7 +193,7 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     A, D, grad_f = icnn.input_gradient(theta, S, work)
     neg_grad_f = -grad_f
     G = -f
-    G_col = np.maximum(G, icnn.G_FLOOR).reshape(-1, 1)
+    G_col = np.maximum(G, G_FLOOR).reshape(-1, 1)
     grad_log_g = neg_grad_f / G_col
     pi_raw = raw_fgp_weights(np.minimum(np.maximum(grad_log_g, -GRAD_CLIP), GRAD_CLIP), X)
     pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-G_FLOOR = 1e-8  # log G reads max(G, G_FLOOR)
-
 
 Layout = namedtuple("Layout", "slots lower")
 

@@ -102,7 +102,7 @@ def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
             delta = a @ nodes[f"W{j}"]
 
     G = -f
-    g = -(grad + nodes["u"]) / ad.reshape(ad.maximum(G, icnn.G_FLOOR), (T, 1))
+    g = -(grad + nodes["u"]) / ad.reshape(ad.maximum(G, fgp.G_FLOOR), (T, 1))
     g = -ad.maximum(-ad.maximum(g, -fgp.GRAD_CLIP), -fgp.GRAD_CLIP)
     pi_raw = (g + (1.0 - ad.sum_(X * g, axis=1, keepdims=True))) * X
     pi_floored = ad.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)
@@ -167,7 +167,7 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
     d_g_raw = d_g * ((g_raw > -fgp.GRAD_CLIP) & (g_raw < fgp.GRAD_CLIP))
     d_G_col = (-d_g_raw * neg_grad_f / (G_col * G_col)).sum(axis=1, keepdims=True)
     # the hinge's mask is left out: slack is already zero wherever it is off
-    d_G = d_G_col.reshape(T) * (G > icnn.G_FLOOR) + -(2.0 * (POS_WEIGHT / T) * slack)
+    d_G = d_G_col.reshape(T) * (G > fgp.G_FLOOR) + -(2.0 * (POS_WEIGHT / T) * slack)
     d_f = d_G * -1.0
     d_grad = d_g_raw / G_col * -1.0
 

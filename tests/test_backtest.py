@@ -178,6 +178,28 @@ def test_master_constant_path_all_terms_vanish():
         assert abs(dec.drift_integral) < 1e-12
 
 
+KINDS = [
+    fgp.Generator("constant"), fgp.Generator("equal"), fgp.Generator("diversity", p=0.5), fgp.Generator("entropy"),
+    fgp.Generator("neural", theta=icnn.init(3, (4,), seed=0)),
+]
+
+
+@pytest.mark.parametrize("gen", KINDS, ids=lambda gen: gen.kind)
+@pytest.mark.parametrize(
+    "W,message",
+    [
+        (np.array([[0.2, 0.3, 0.5]]), "at least 2 rows"),
+        (np.array([0.2, 0.3, 0.5]), "at least 2 rows"),
+        (np.array([[0.2, 0.3, 0.5], [np.nan, 0.3, 0.5], [0.2, 0.3, 0.5]]), "finite and positive"),
+    ],
+    ids=["one-row", "1-d", "nan"],
+)
+def test_master_residual_checks_the_slice_for_every_kind(gen, W, message):
+    # the constant kind's exact zeros come only after the same check as every other kind
+    with pytest.raises(DataError, match=message):
+        backtest.master_residual(gen, W)
+
+
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("entropy")])
 def test_master_residual_shrinks_with_step(gen):
     # one fine trajectory per seed, observed at three resolutions: the

@@ -1,8 +1,8 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -71,6 +71,44 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["y", "data_path", "lam"])
+def test_config_file_field_names_that_are_not_keys_are_unknown(tmp_path, capsys, key):
+    # the keys are years, data and lambda: the flags without "--", dashes turned into underscores
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {cfg}:1: unknown config key {key!r}\n"
+
+
+def test_config_keys_flags_and_fields_build_the_same_run_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"years = 2\ndata = {tmp_path / 'prices.csv'}\nlambda = 0.7\n")
+    from_file = cli.build_run_config(cli.build_parser().parse_args(["backtest", "--config", str(cfg)]))
+    argv = ["backtest", "--years", "2", "--data", str(tmp_path / "prices.csv"), "--lambda", "0.7"]
+    from_flags = cli.build_run_config(cli.build_parser().parse_args(argv))
+    assert from_file == from_flags == cli.RunConfig(years=2, data=str(tmp_path / "prices.csv"), lam=0.7)
+
+
+def test_simulate_takes_out_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("n = 3\ndays = 20\nout = x.csv\n")
+    assert run(["simulate", "--config", "run.cfg"]) == 0
+    assert md.load_prices_csv(tmp_path / "x.csv").prices.shape == (20, 3)
+    assert not (tmp_path / "prices.csv").exists()
+
+
+def test_each_command_has_its_default_output(tmp_path, monkeypatch):
+    # simulate writes ./prices.csv; train and backtest write under ./out/
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--n", "2", "--days", "60", "--seed", "3"]) == 0
+    assert md.load_prices_csv(tmp_path / "prices.csv").prices.shape == (60, 2)
+    assert run(["train", "--n", "2", "--days", "30", "--seed", "3", *FAST]) == 0
+    assert (tmp_path / "out" / "theta.json").exists() and (tmp_path / "out" / "training_log.csv").exists()
+    assert run(["backtest", "--n", "2", "--days", "60", "--seed", "3", *FAST]) == 0
+    assert read_summary_csv(tmp_path / "out" / "summary.csv")[0][0] == "FGP"
+    assert (tmp_path / "out" / "windows.csv").exists()
 
 
 def test_config_file_unparsable_value_names_its_line(tmp_path, capsys):
@@ -326,8 +364,14 @@ def test_config_file_switches_parse_like_flags(tmp_path):
     assert from_file == from_flags == cli.RunConfig(svg=True, warm_start=False)
 
 
+# the common flags in their --help order
+HELP_FLAGS = [
+    "--use-real", "--n", "--years", "--p-vals", "--days", "--data", "--train-days", "--test-days", "--epochs",
+    "--lr", "--lambda", "--widths", "--seed", "--warm-start", "--jobs", "--out", "--svg",
+]
+
+
 def test_option_table_matches_run_config_and_gives_every_flag_help(capsys):
-    assert list(cli.OPTIONS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
     parser = argparse.ArgumentParser()
     cli._add_common_flags(parser)
     assert all(action.help for action in parser._actions)
@@ -336,7 +380,8 @@ def test_option_table_matches_run_config_and_gives_every_flag_help(capsys):
             run([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert all(opt.flag in out for opt in cli.OPTIONS.values())
+        assert all(opt["flag"] in out for opt in cli.OPTIONS.values())
+        assert re.findall(r"^  (--[\w-]+)", out, re.M) == ["--config", *HELP_FLAGS, "--no-warm-start"]
 
 
 def test_every_argument_of_every_subcommand_has_help():
@@ -357,7 +402,7 @@ BAD_INT = ["abc", "", "1e3", "-1", "0", "nan", "inf", "-inf"]
 VALUES = {
     "n": ["2", "3"] + BAD_INT + HUGE,
     "days": ["2", "30", "60"] + BAD_INT + HUGE,
-    "y": ["1", "2"] + BAD_INT + HUGE,
+    "years": ["1", "2"] + BAD_INT + HUGE,
     "train_days": ["10", "20"] + BAD_INT + HUGE,
     "test_days": ["10", "20"] + BAD_INT + HUGE,
     "epochs": ["1", "2"] + BAD_INT,
@@ -365,10 +410,10 @@ VALUES = {
     "seed": ["0", "7"] + BAD_INT + HUGE,
     "widths": ["3", "2,2", "", "0", "4,x", "3,-1"] + HUGE + ["2," + HUGE[0]],
     "lr": ["1e-3", "0.1", "abc", "", "-1", "0", "nan", "inf", "-inf", "1e308"],
-    "lam": ["0.3", "0", "abc", "-1", "nan", "inf", "-inf"],
+    "lambda": ["0.3", "0", "abc", "-1", "nan", "inf", "-inf"],
     "p_vals": ["0.3,0.5", "0.5", "", "0.5,abc", "1.5", "0", "nan", "-0.5"],
+    "data": ["{tmp}/prices.csv"],
 }
-FLAGS = {"y": "--years", "train_days": "--train-days", "test_days": "--test-days", "lam": "--lambda", "p_vals": "--p-vals"}
 SWITCHES = ["--use-real", "--warm-start", "--no-warm-start", "--svg"]
 BOOLS = {"use_real": ["yes", "0", "maybe"], "warm_start": ["no", "true", ""], "svg": ["on", "2"]}
 CSV_TEXTS = ["", "date,AAA\n0,1\n", "date,AAA,BBB\n0,1,2\n1,x,3\n", "date,AAA,BBB\n0,1,2\n1,-1,3\n"]
@@ -387,19 +432,15 @@ def bad_runs(draw):
     if command == "fetch":
         url = draw(st.sampled_from(["not-a-url", "foo://x", "file://{tmp}/prices.csv", "file://{tmp}/none.csv"]))
         return ["fetch", "--url", url, "--out", "{tmp}/fetched.csv"], files
-    keys = st.sampled_from(sorted(VALUES) + sorted(BOOLS) + ["data_path", "bogus"])
+    keys = st.sampled_from(sorted(VALUES) + sorted(BOOLS) + ["bogus"])
     lines = [SMALL_RUN]
     for key in draw(st.lists(keys, max_size=4)):
-        value = "{tmp}/prices.csv" if key == "data_path" else draw(st.sampled_from({**VALUES, **BOOLS}.get(key, ["1"])))
-        lines.append(f"{key} = {value}\n")
+        lines.append(f"{key} = {draw(st.sampled_from({**VALUES, **BOOLS}.get(key, ['1'])))}\n")
     lines += draw(st.lists(st.sampled_from(["no equals sign\n", "# a comment\n", "lambda = nan\n"]), max_size=1))
     files["run.cfg"] = draw(st.sampled_from(["".join(lines)] * 4 + [None, "\x00\xe9"]))
     argv = [command, "--config", "{tmp}/run.cfg", "--out", "{tmp}/out"]
-    for key in draw(st.lists(st.sampled_from(sorted(VALUES) + ["data"]), max_size=4)):
-        if key == "data":
-            argv += ["--data", "{tmp}/prices.csv"]
-        else:
-            argv += [FLAGS.get(key, "--" + key), draw(st.sampled_from(VALUES[key]))]
+    for key in draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=4)):  # each key's flag
+        argv += ["--" + key.replace("_", "-"), draw(st.sampled_from(VALUES[key]))]
     return argv + draw(st.lists(st.sampled_from(SWITCHES), max_size=2)), files
 
 

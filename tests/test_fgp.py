@@ -180,7 +180,7 @@ def test_neural_weights_match_independent_reimplementation():
         p1 = theta.W[0] @ x + theta.b[0]
         f = theta.w @ sp(p1) + theta.u @ x + theta.c
         grad_f = theta.W[0].T @ (theta.w * sg(p1)) + theta.u
-        G = max(-f, icnn.G_FLOOR)
+        G = max(-f, fgp.G_FLOOR)
         g = np.clip(-grad_f / G, -fgp.GRAD_CLIP, fgp.GRAD_CLIP)
         pi_raw = (g + 1.0 - x @ g) * x
         pi_ref = np.maximum(pi_raw, fgp.PORTFOLIO_WEIGHT_FLOOR)

@@ -156,7 +156,7 @@ def test_generating_function_sign_flip():
     assert -icnn.forward(zero_params(c=-3.0), np.array([0.4, 0.6])) == 3.0
     g = -icnn.forward(zero_params(c=1.0), np.array([0.4, 0.6]))
     assert g == -1.0
-    assert max(g, icnn.G_FLOOR) == icnn.G_FLOOR
+    assert max(g, fgp.G_FLOOR) == fgp.G_FLOOR
 
 
 def test_midpoint_convexity_random_networks():
@@ -204,8 +204,8 @@ def test_grad_log_g_matches_finite_differences(depth, width):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        lo = np.log(max(-icnn.forward(theta, x - e), icnn.G_FLOOR))
-        hi = np.log(max(-icnn.forward(theta, x + e), icnn.G_FLOOR))
+        lo = np.log(max(-icnn.forward(theta, x - e), fgp.G_FLOOR))
+        hi = np.log(max(-icnn.forward(theta, x + e), fgp.G_FLOOR))
         fd = (hi - lo) / (2 * h)
         assert abs(g[i] - fd) / (1.0 + abs(fd)) < 1e-5
 

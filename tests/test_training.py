@@ -135,7 +135,7 @@ def binding_nets(theta, window):
         "clip": bool(np.any(np.abs(g) > fgp.GRAD_CLIP)),
         "weight floor": bool(np.any(nm.pi_raw <= fgp.PORTFOLIO_WEIGHT_FLOOR)),
         "hinge": bool(np.any(G < training.POS_MARGIN)),
-        "G floor": bool(np.any(G <= icnn.G_FLOOR)),
+        "G floor": bool(np.any(G <= fgp.G_FLOOR)),
     }
 
 
