@@ -214,7 +214,7 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
 
 
 def write_window_csv(path, report: WalkForwardReport):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "strategy", "V_Tk", "log_V_Tk"])
         for k in range(report.n_windows):
@@ -224,7 +224,7 @@ def write_window_csv(path, report: WalkForwardReport):
 
 
 def write_summary_csv(path, report: WalkForwardReport):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "avg_log_relative_return", "K"])
         for label, avg, k in summarize(report):
@@ -280,5 +280,5 @@ def write_svg(path, report: WalkForwardReport):
             f'<text x="{width - pad + 6}" y="{pad + 16 * i}" font-size="12" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -92,7 +92,7 @@ def parse_config_file(path):
     """Flat key=value lines; '#' starts a comment; unknown keys rejected. Returns field name -> value."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-text file
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

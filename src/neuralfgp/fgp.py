@@ -9,7 +9,8 @@ Three safety nets guard the neural map, each with zero gradient where it binds. 
 reads G as max(G, G_FLOOR), here and in generator_value; the gradient passes where G > G_FLOOR.
 The grad clip caps each component of grad log G at +-GRAD_CLIP; it passes where
 |grad log G| < GRAD_CLIP. The weight floor takes max(pi_raw, PORTFOLIO_WEIGHT_FLOOR), then
-renormalises; it passes where pi_raw > PORTFOLIO_WEIGHT_FLOOR.
+renormalises; it passes where pi_raw > PORTFOLIO_WEIGHT_FLOOR. neural_map_adjoint, the
+reverse of the neural map, is where each of these gradient rules is written.
 test_loss_gradients_bit_identical_to_tape checks the training gradient's masks against the
 autodiff tape on cases where each net binds.
 """
@@ -176,21 +177,22 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
 
 
 # The neural weight map at each row of a batch X (m, n), with every intermediate its adjoint reads:
-# Z, S, A, D from icnn.forward_layers and icnn.input_gradient; -grad f; G = -f; G_col = max(G,
-# G_FLOOR) as a column; grad_log_g before the clip; the raw FGP weights, floored and row-summed; pi.
-NeuralMap = namedtuple("NeuralMap", "Z S A D neg_grad_f G G_col grad_log_g pi_raw pi_floored pi_sum pi")
+# the icnn.Work set that icnn.forward_layers and icnn.input_gradient ran in; -grad f; G = -f;
+# G_col = max(G, G_FLOOR) as a column; grad_log_g before the clip; the raw FGP weights, floored
+# and row-summed; pi.
+NeuralMap = namedtuple("NeuralMap", "work neg_grad_f G G_col grad_log_g pi_raw pi_floored pi_sum pi")
 
 
 def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     """Neural weights at each row of X (m, theta.n): grad log G over the G floor -> clip ->
     generic FGP map (raw_fgp_weights) -> weight floor and renormalise. The values equal those of
     training.build_loss's autodiff graph bit for bit, though its nodes (the clip is two negated
-    maxima) differ. Z, S, A and D live in work's arrays (fresh ones when work is None)."""
+    maxima) differ. The ICNN passes run in work (a fresh set when work is None)."""
     if X.ndim != 2 or X.shape[1] != theta.n:
         raise DimensionError(f"neural map: expected rows of shape (m, {theta.n}), got {X.shape}")
     work = icnn.Work(len(X), theta.widths) if work is None else work
-    f, Z, S = icnn.forward_layers(theta, X, work)
-    A, D, grad_f = icnn.input_gradient(theta, S, work)
+    f, _, S = icnn.forward_layers(theta, X, work)
+    _, _, grad_f = icnn.input_gradient(theta, S, work)
     neg_grad_f = -grad_f
     G = -f
     G_col = np.maximum(G, G_FLOOR).reshape(-1, 1)
@@ -199,17 +201,31 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
     pi_sum = pi_floored.sum(axis=1, keepdims=True)
     pi = pi_floored / pi_sum
-    return NeuralMap(Z, S, A, D, neg_grad_f, G, G_col, grad_log_g, pi_raw, pi_floored, pi_sum, pi)
+    return NeuralMap(work, neg_grad_f, G, G_col, grad_log_g, pi_raw, pi_floored, pi_sum, pi)
+
+
+def neural_map_adjoint(nm: NeuralMap, X, d_pi, d_G):
+    """The reverse of neural_map over X: from a loss's adjoints d_pi (m, n) on nm.pi and d_G (m,)
+    on nm.G through its own terms, the adjoints (d_f (m,), d_grad (m, n)) on the ICNN's f and
+    grad f, for icnn.param_gradient. Each safety net passes the gradient only where it does not
+    bind (see the module docstring). Each step is the vector-Jacobian product of the autodiff
+    tape, in its formula and operand layout."""
+    d_floored = d_pi / nm.pi_sum + (-d_pi * nm.pi_floored / (nm.pi_sum * nm.pi_sum)).sum(axis=1, keepdims=True)
+    d_gp = d_floored * (nm.pi_raw > PORTFOLIO_WEIGHT_FLOOR) * X
+    d_g = d_gp + -d_gp.sum(axis=1, keepdims=True) * X
+    d_g_raw = d_g * ((nm.grad_log_g > -GRAD_CLIP) & (nm.grad_log_g < GRAD_CLIP))
+    d_G_col = (-d_g_raw * nm.neg_grad_f / (nm.G_col * nm.G_col)).sum(axis=1, keepdims=True)
+    return (d_G_col.reshape(-1) * (nm.G > G_FLOOR) + d_G) * -1.0, d_g_raw / nm.G_col * -1.0
 
 
 def neural_hessian(theta: icnn.ICNNParams, nm: NeuralMap) -> np.ndarray:
     """Hessian of G = -f at each row of a neural map's batch, (m, n, n), from the map's S and A."""
     # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
     # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
-    H, S = 0.0, nm.S
+    H, S, A = 0.0, nm.work.S, nm.work.A
     for k, W in enumerate(theta.W):
         J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
-        H = H + np.swapaxes(J, -1, -2) @ ((nm.A[k] * (1.0 - S[k]))[..., None] * J)
+        H = H + np.swapaxes(J, -1, -2) @ ((A[k] * (1.0 - S[k]))[..., None] * J)
     return -H
 
 

@@ -128,7 +128,10 @@ class Work:
 
     Whoever owns a batch builds the set and hands it to both passes; a pass overwrites what the
     set held, so a caller that repeats them over one row count, as training does every epoch,
-    builds one set for all of them.
+    builds one set for all of them. Only this module writes into the arrays. param_gradient,
+    the reverse of both passes, reads what they left and puts each (m, m_k) adjoint into an
+    array whose value is dead by then: the sigmoid adjoints into A, 1 - S[k] into S[k] on its
+    last use, and the rest into P and E. After it only Z and D still hold the passes' values.
     """
 
     def __init__(self, rows, widths):
@@ -184,6 +187,58 @@ def input_gradient(theta: ICNNParams, S, work: Work):
     return A, D, grad + theta.u
 
 
+def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad) -> ICNNParams:
+    """d/d(theta), in theta's layout, of a loss whose adjoints are d_f (m,) on the f of
+    forward_layers and d_grad (m, n) on the grad_f of input_gradient, both run over X into work.
+
+    The reverse applies at each node the vector-Jacobian product the autodiff tape applies
+    there, in the same formula and operand layout, so it matches ad.backward bit for bit. It
+    spends work's arrays as its scratch (see Work).
+    """
+    Ws, Us, w = theta.W, (None,) + theta.U, theta.w
+    K = len(Ws)
+    Z, S, A, D, P, E = work.Z, work.S, work.A, work.D + [w], work.P, work.E
+    # the gradient goes straight into the views of an ICNNParams in theta's layout
+    grads = ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths)
+    d_W, d_U = grads.W, (None,) + grads.U
+
+    # back through the input-gradient recursion, first term first; d_A and d_D go into P[j],
+    # d_sig[j] into A[j] after A[j]'s last read
+    np.matmul(A[0].T, d_grad, out=d_W[0])
+    for j in range(1, K):
+        np.matmul(A[j].T, d_grad, out=d_U[j])
+    d_A = np.matmul(d_grad, Ws[0].T, out=P[0])
+    for j in range(K):
+        np.multiply(d_A, D[j], out=A[j])
+        d_D = np.multiply(d_A, S[j], out=d_A)
+        if j + 1 < K:
+            np.matmul(A[j + 1].T, d_D, out=d_W[j + 1])
+            d_A = np.matmul(d_grad, Us[j + 1].T, out=P[j + 1])
+            np.add(d_A, np.matmul(d_D, Ws[j + 1].T, out=E[j + 1]), out=d_A)
+    d_sig = A
+    grads.w[...] = Z[-1].T @ d_f + d_D.sum(axis=0)
+
+    # back through the forward pass, last layer first: d_P = d_Z * S[k] + d_sig[k] * S[k] * (1 - S[k]),
+    # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use
+    d_Z = np.outer(d_f, w, out=E[-1])
+    for k in range(K - 1, -1, -1):
+        np.multiply(d_Z, S[k], out=d_Z)
+        np.multiply(d_sig[k], S[k], out=d_sig[k])
+        np.multiply(d_sig[k], np.subtract(1.0, S[k], out=S[k]), out=d_sig[k])
+        d_P = np.add(d_Z, d_sig[k], out=d_Z)
+        grads.b[k][...] = d_P.sum(axis=0)
+        if k:
+            np.add((Z[k - 1].T @ d_P).T, d_W[k], out=d_W[k])
+            np.add((X.T @ d_P).T, d_U[k], out=d_U[k])
+            d_Z = np.matmul(d_P, Ws[k], out=E[k - 1])
+        else:
+            np.add((X.T @ d_P).T, d_W[0], out=d_W[0])
+
+    grads.u[...] = X.T @ d_f + d_grad.sum(axis=0)
+    grads.c[...] = d_f.sum(axis=0)
+    return grads
+
+
 def forward(theta: ICNNParams, x):
     """f at a point of shape (n,), as a float, or at each row of an (m, n) batch, as an (m,) array."""
     x = np.asarray(x, dtype=np.float64)
@@ -225,9 +280,11 @@ def from_json(text) -> ICNNParams:
         doc = json.loads(text)
         if doc.get("format") != "icnn-params" or doc.get("version") != 1:
             raise ConfigError("unrecognised parameter document")
+        if not all(type(v) is int for v in [doc["n"], *doc["widths"]]):  # a float or a bool is no size
+            raise TypeError(f"n and widths must be integers, got {doc['n']!r} and {doc['widths']!r}")
         arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}
         theta = from_arrays(arrays, doc["widths"])
-        if theta.n != int(doc["n"]):
+        if theta.n != doc["n"]:
             raise DimensionError(f"n is {doc['n']!r}, but u has length {theta.n}")
     except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
         raise ConfigError(f"malformed parameter document: {exc!r}") from None
@@ -235,10 +292,10 @@ def from_json(text) -> ICNNParams:
 
 
 def save(theta: ICNNParams, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(theta))
 
 
 def load(path) -> ICNNParams:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return from_json(fh.read())

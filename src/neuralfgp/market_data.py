@@ -123,7 +123,7 @@ def load_prices_csv(path) -> PricePath:
     still contain gaps are dropped.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return _parse_prices(fh, str(path))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # a missing, unreadable, non-text or malformed file
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -193,7 +193,7 @@ def _parse_prices(fh, name):
 
 def write_prices_csv(path, price_path: PricePath):
     """Write the wide-format CSV schema consumed by load_prices_csv."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(price_path.tickers))
         for date, row in zip(price_path.dates, price_path.prices):
@@ -225,6 +225,6 @@ def fetch_csv(url, out_path):
     except UnicodeDecodeError:
         raise DataError(f"{url}: not UTF-8 text") from None
     parse_prices_csv(text)
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     return out_path

@@ -128,30 +128,27 @@ def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, work: icnn.Work = None):
     """Loss parts plus d(loss)/d(theta), an ICNNParams of theta's layout, in straight-line numpy.
 
-    The forward pass is fgp.neural_map plus the loss terms. The reverse pass applies
-    at each node the vector-Jacobian product the autodiff tape applies there, in
-    the same formula and operand layout. Every node has at most two consumers
-    and IEEE addition commutes, so the result is bit-identical to
-    ad.backward over build_loss, which stays as the reference. NumericError if the
-    loss or a gradient entry is not finite.
+    The forward pass is fgp.neural_map plus the loss terms. The reverse pass takes the terms'
+    own adjoints, then fgp.neural_map_adjoint and icnn.param_gradient, each of which applies at
+    each node the vector-Jacobian product the autodiff tape applies there, in the same formula
+    and operand layout. Every node has at most two consumers and IEEE addition commutes, so the
+    result is bit-identical to ad.backward over build_loss, which stays as the reference.
+    NumericError if the loss or a gradient entry is not finite.
 
-    work holds the (T, width) arrays of both passes, T being the window's step count (fresh
-    ones when None); every (T, width) adjoint goes into an array whose value is dead.
+    work is the icnn.Work set of both ICNN passes over the window's T rows, handed to
+    fgp.neural_map.
     """
     W = _window(window_weights)
     T = W.shape[0] - 1
     X, ratios = W[:-1], W[1:] / W[:-1]
-    Ws, Us, w = theta.W, (None,) + theta.U, theta.w
-    K = len(Ws)
-    work = icnn.Work(T, theta.widths) if work is None else work
-    Z, S, A, D, neg_grad_f, G, G_col, g_raw, pi_raw, pi_floored, pi_sum, pi = fgp.neural_map(theta, X, work)
+    nm = fgp.neural_map(theta, X, work)
 
     # log wealth, penalty and hinge (build_loss)
-    step_returns = (pi * ratios).sum(axis=1)
+    step_returns = (nm.pi * ratios).sum(axis=1)
     log_v_term = (-1.0 / T) * np.log(step_returns).sum()
-    norms = np.sqrt((pi * pi).sum(axis=1))
+    norms = np.sqrt((nm.pi * nm.pi).sum(axis=1))
     penalty = cfg.lambda_l2 * norms.mean()
-    slack = np.maximum(POS_MARGIN - G, 0.0)
+    slack = np.maximum(POS_MARGIN - nm.G, 0.0)
     hinge = POS_WEIGHT * (slack * slack).mean()
     total = log_v_term + penalty + hinge
     if not np.isfinite(total):
@@ -160,56 +157,10 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
 
     # reverse pass; the seed adjoint 1.0 drops out of every scaling by a constant
     d_pi = ((-1.0 / T) / step_returns)[:, None] * ratios
-    d_pi = d_pi + 2.0 * ((cfg.lambda_l2 / T) / (2.0 * norms))[:, None] * pi
-    d_floored = d_pi / pi_sum + (-d_pi * pi_floored / (pi_sum * pi_sum)).sum(axis=1, keepdims=True)
-    d_gp = d_floored * (pi_raw > fgp.PORTFOLIO_WEIGHT_FLOOR) * X
-    d_g = d_gp + -d_gp.sum(axis=1, keepdims=True) * X
-    d_g_raw = d_g * ((g_raw > -fgp.GRAD_CLIP) & (g_raw < fgp.GRAD_CLIP))
-    d_G_col = (-d_g_raw * neg_grad_f / (G_col * G_col)).sum(axis=1, keepdims=True)
+    d_pi = d_pi + 2.0 * ((cfg.lambda_l2 / T) / (2.0 * norms))[:, None] * nm.pi
     # the hinge's mask is left out: slack is already zero wherever it is off
-    d_G = d_G_col.reshape(T) * (G > fgp.G_FLOOR) + -(2.0 * (POS_WEIGHT / T) * slack)
-    d_f = d_G * -1.0
-    d_grad = d_g_raw / G_col * -1.0
-
-    # the gradient goes straight into the views of an ICNNParams in theta's layout
-    grads = icnn.ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths)
-    d_W, d_U = grads.W, (None,) + grads.U
-
-    # back through the input-gradient recursion, first term first; d_A and d_D go into P[j],
-    # d_sig[j] into A[j] after A[j]'s last read
-    P, E = work.P, work.E
-    np.matmul(A[0].T, d_grad, out=d_W[0])
-    for j in range(1, K):
-        np.matmul(A[j].T, d_grad, out=d_U[j])
-    d_A = np.matmul(d_grad, Ws[0].T, out=P[0])
-    for j in range(K):
-        np.multiply(d_A, D[j], out=A[j])
-        d_D = np.multiply(d_A, S[j], out=d_A)
-        if j + 1 < K:
-            np.matmul(A[j + 1].T, d_D, out=d_W[j + 1])
-            d_A = np.matmul(d_grad, Us[j + 1].T, out=P[j + 1])
-            np.add(d_A, np.matmul(d_D, Ws[j + 1].T, out=E[j + 1]), out=d_A)
-    d_sig = A
-    grads.w[...] = Z[-1].T @ d_f + d_D.sum(axis=0)
-
-    # back through the ICNN forward, last layer first: d_P = d_Z * S[k] + d_sig[k] * S[k] * (1 - S[k]),
-    # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use
-    d_Z = np.outer(d_f, w, out=E[-1])
-    for k in range(K - 1, -1, -1):
-        np.multiply(d_Z, S[k], out=d_Z)
-        np.multiply(d_sig[k], S[k], out=d_sig[k])
-        np.multiply(d_sig[k], np.subtract(1.0, S[k], out=S[k]), out=d_sig[k])
-        d_P = np.add(d_Z, d_sig[k], out=d_Z)
-        grads.b[k][...] = d_P.sum(axis=0)
-        if k:
-            np.add((Z[k - 1].T @ d_P).T, d_W[k], out=d_W[k])
-            np.add((X.T @ d_P).T, d_U[k], out=d_U[k])
-            d_Z = np.matmul(d_P, Ws[k], out=E[k - 1])
-        else:
-            np.add((X.T @ d_P).T, d_W[0], out=d_W[0])
-
-    grads.u[...] = X.T @ d_f + d_grad.sum(axis=0)
-    grads.c[...] = d_f.sum(axis=0)
+    d_f, d_grad = fgp.neural_map_adjoint(nm, X, d_pi, -(2.0 * (POS_WEIGHT / T) * slack))
+    grads = icnn.param_gradient(theta, X, nm.work, d_f, d_grad)
     if not np.isfinite(grads.flat).all():
         raise NumericError("training gradient is not finite")
     return parts, grads
@@ -267,7 +218,7 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
 def write_training_log(path, log_rows):
     """One CSV row per epoch: epoch, loss, log V_T term, penalty term, hinge term."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss", "log_v_term", "penalty_term", "hinge_term"])
         for row in log_rows:

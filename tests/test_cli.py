@@ -499,3 +499,21 @@ def test_fetch_broken_response_is_data_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", broken)
     assert run(["fetch", "--url", "http://127.0.0.1:9/p.csv", "--out", str(tmp_path / "out.csv")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_utf8_files_under_an_ascii_locale(tmp_path):
+    # every text file is read and written as UTF-8, whatever the locale's encoding
+    prices = np.exp(np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, (40, 2)), axis=0))
+    lines = ["date,S\u00e9,B"] + [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(prices.tolist())]
+    (tmp_path / "u.csv").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    env.update(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for argv in (
+        ["fetch", "--url", (tmp_path / "u.csv").as_uri(), "--out", "f.csv"],
+        ["train", "--data", "u.csv", "--out", "t", *FAST],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "neuralfgp.cli", *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()

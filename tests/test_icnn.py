@@ -266,7 +266,9 @@ def test_from_json_malformed_document_is_config_error():
     bad_base64 = {**good, "arrays": {**good["arrays"], "u": {"shape": [3], "data": "@@@"}}}
     bad_shape = {**good, "arrays": {**good["arrays"], "u": {**good["arrays"]["u"], "shape": [1, 3]}}}
     wrong_n = {**good, "n": 4}
-    for doc in (no_arrays, missing_w, bad_base64, bad_shape, wrong_n):
+    # sizes that int() would truncate or accept: a fractional width or n, and a boolean width
+    sizes = [{**good, "widths": [4.7, 4]}, {**good, "n": 3.9}, {**good, "widths": [True, 4]}]
+    for doc in (no_arrays, missing_w, bad_base64, bad_shape, wrong_n, *sizes):
         with pytest.raises(ConfigError):
             icnn.from_json(json.dumps(doc))
     for text in ("not json", "[]", '{"format": "icnn-params", "version": 2}'):

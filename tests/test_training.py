@@ -158,6 +158,34 @@ def test_loss_gradients_bit_identical_to_tape():
     assert slack > 0
 
 
+def test_each_safety_net_passes_no_gradient_where_it_binds():
+    # on fgp.neural_map_adjoint, with no hinge adjoint on G: the adjoint on f is zero on rows
+    # where the G floor binds, and the adjoint on grad f is zero at entries where the clip binds.
+    # Moving weight between two floored entries of a row (both weigh floor / row sum) changes
+    # nothing, so that adjoint on pi gives zero adjoints everywhere.
+    rng, draws = np.random.default_rng(12), np.random.default_rng(13)
+    cases = [random_case(rng, case)[:2] for case in range(72)]
+    # G below its floor at a gradient too small to clip, which would zero that row's adjoint anyway
+    cases.append((zero_params(3, (4,), c=1.0, u=np.array([1e-9, -2e-9, 1e-9])), random_window(rng, 3, 6)))
+    bound = {"G floor": 0, "clip": 0, "weight floor": 0}
+    for case, (theta, window) in enumerate(cases):
+        X = window[:-1]
+        nm = fgp.neural_map(theta, X)
+        no_hinge = np.zeros(len(X))
+        d_f, d_grad = fgp.neural_map_adjoint(nm, X, draws.normal(size=X.shape), no_hinge)
+        G_floored, clipped = nm.G <= fgp.G_FLOOR, np.abs(nm.grad_log_g) >= fgp.GRAD_CLIP
+        assert not d_f[G_floored].any() and not d_grad[clipped].any(), case
+        floored = nm.pi_raw <= fgp.PORTFOLIO_WEIGHT_FLOOR
+        for row in np.flatnonzero(floored.sum(axis=1) >= 2):
+            d_pi = np.zeros_like(X)
+            d_pi[row, np.flatnonzero(floored[row])[:2]] = 1.0, -1.0
+            d_f, d_grad = fgp.neural_map_adjoint(nm, X, d_pi, no_hinge)
+            assert not d_f.any() and not d_grad.any(), (case, row)
+        for net, binds in zip(bound, (G_floored.any(), clipped.any(), (floored.sum(axis=1) >= 2).any())):
+            bound[net] += binds
+    assert all(count > 0 for count in bound.values()), bound
+
+
 def test_loss_gradients_non_finite_loss_is_numeric_error():
     theta = zero_params(n=2, widths=(2,), c=-5.0)
     window = np.array([[0.5, 0.5], [np.inf, 0.5]])
