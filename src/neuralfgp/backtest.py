@@ -128,6 +128,32 @@ def _run_window(args):
     return terminals, icnn.to_json(theta) if cfg.warm_start else None
 
 
+# OpenBLAS thread-count setters, by the names numpy's bundled builds have exported
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread in this worker, so that jobs
+    workers do not each start a BLAS thread per core. Does nothing when no setter is found.
+    Results do not depend on the thread count."""
+    import ctypes
+    import glob
+    import os
+
+    root = os.path.dirname(np.__file__)  # wheels bundle the library in numpy.libs, numpy/.libs or numpy/.dylibs
+    for lib_path in glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.*libs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(lib_path)  # numpy has loaded it already, so this is the same library
+        except OSError:
+            continue
+        for name in BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardReport:
     """Roll the train/test window over the path; every strategy sees the same slices."""
     W = path.weights
@@ -151,7 +177,7 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs the pool
 
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, K)) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, K), initializer=_one_blas_thread) as pool:
             results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
 
     labels = tuple(results[0])

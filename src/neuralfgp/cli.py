@@ -212,9 +212,12 @@ def cmd_report(args):
 
 
 def _print_summary(rows):
-    width = max(len(r[0]) for r in rows)
+    # a label character that stdout cannot encode, as under an ASCII locale, prints as its escape
+    encoding = sys.stdout.encoding or "utf-8"
+    labels = [label.encode(encoding, "backslashreplace").decode(encoding) for label, _, _ in rows]
+    width = max(map(len, labels))
     print(f"{'Strategy'.ljust(width)}  avg log relative return      K")
-    for label, avg, k in rows:
+    for label, (_, avg, k) in zip(labels, rows):
         print(f"{label.ljust(width)}  {avg: .10g}{'':>12}{k:>5}")
 
 

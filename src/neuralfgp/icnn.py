@@ -49,8 +49,9 @@ class ICNNParams:
     """Parameters as one contiguous float64 vector `flat`, laid out by layout(n, widths). W (K
     matrices: W[0] is m1 x n, W[k] is m_{k+1} x m_k), U (K-1 matrices: U[k-1] is m_{k+1} x n),
     b (K bias vectors), w (length m_K), u (length n) and c (0-d, its last entry) are views into
-    flat, so they read what flat holds now. Treated as an immutable value between steps;
-    project_constraints, which writes in place, is handed only a fresh one."""
+    flat, so they read what flat holds now. Treated as an immutable value, except for the
+    buffers that training.train_window owns and rewrites every epoch; project_constraints,
+    which writes in place, is handed only such a buffer or a fresh one."""
 
     def __init__(self, flat, n, widths):
         self.flat, self.n, self.widths = flat, n, widths
@@ -187,19 +188,20 @@ def input_gradient(theta: ICNNParams, S, work: Work):
     return A, D, grad + theta.u
 
 
-def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad) -> ICNNParams:
+def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad, out: ICNNParams = None) -> ICNNParams:
     """d/d(theta), in theta's layout, of a loss whose adjoints are d_f (m,) on the f of
     forward_layers and d_grad (m, n) on the grad_f of input_gradient, both run over X into work.
 
     The reverse applies at each node the vector-Jacobian product the autodiff tape applies
     there, in the same formula and operand layout, so it matches ad.backward bit for bit. It
-    spends work's arrays as its scratch (see Work).
+    spends work's arrays as its scratch (see Work). The gradient is written through the views
+    of out, an ICNNParams in theta's layout whose every entry it overwrites (a fresh one when
+    out is None), and out is returned.
     """
     Ws, Us, w = theta.W, (None,) + theta.U, theta.w
     K = len(Ws)
     Z, S, A, D, P, E = work.Z, work.S, work.A, work.D + [w], work.P, work.E
-    # the gradient goes straight into the views of an ICNNParams in theta's layout
-    grads = ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths)
+    grads = ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths) if out is None else out
     d_W, d_U = grads.W, (None,) + grads.U
 
     # back through the input-gradient recursion, first term first; d_A and d_D go into P[j],
@@ -216,26 +218,27 @@ def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad) -> ICNNParams:
             d_A = np.matmul(d_grad, Us[j + 1].T, out=P[j + 1])
             np.add(d_A, np.matmul(d_D, Ws[j + 1].T, out=E[j + 1]), out=d_A)
     d_sig = A
-    grads.w[...] = Z[-1].T @ d_f + d_D.sum(axis=0)
+    np.add(Z[-1].T @ d_f, np.add.reduce(d_D, axis=0, out=grads.w), out=grads.w)
 
     # back through the forward pass, last layer first: d_P = d_Z * S[k] + d_sig[k] * S[k] * (1 - S[k]),
-    # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use
-    d_Z = np.outer(d_f, w, out=E[-1])
+    # op by op in that order; d_Z and d_P go into E[k], and S[k] turns into 1 - S[k] on its last use.
+    # A weight's gradient d_P^T Z holds in each entry the same dot product over the rows as the tape's (Z^T d_P)^T
+    d_Z = np.multiply(d_f[:, None], w, out=E[-1])
     for k in range(K - 1, -1, -1):
         np.multiply(d_Z, S[k], out=d_Z)
         np.multiply(d_sig[k], S[k], out=d_sig[k])
         np.multiply(d_sig[k], np.subtract(1.0, S[k], out=S[k]), out=d_sig[k])
         d_P = np.add(d_Z, d_sig[k], out=d_Z)
-        grads.b[k][...] = d_P.sum(axis=0)
+        np.add.reduce(d_P, axis=0, out=grads.b[k])
         if k:
-            np.add((Z[k - 1].T @ d_P).T, d_W[k], out=d_W[k])
-            np.add((X.T @ d_P).T, d_U[k], out=d_U[k])
+            np.add(d_P.T @ Z[k - 1], d_W[k], out=d_W[k])
+            np.add(d_P.T @ X, d_U[k], out=d_U[k])
             d_Z = np.matmul(d_P, Ws[k], out=E[k - 1])
         else:
-            np.add((X.T @ d_P).T, d_W[0], out=d_W[0])
+            np.add(d_P.T @ X, d_W[0], out=d_W[0])
 
-    grads.u[...] = X.T @ d_f + d_grad.sum(axis=0)
-    grads.c[...] = d_f.sum(axis=0)
+    np.add(X.T @ d_f, np.add.reduce(d_grad, axis=0, out=grads.u), out=grads.u)
+    np.add.reduce(d_f, axis=0, out=grads.c)
     return grads
 
 

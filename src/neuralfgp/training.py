@@ -9,6 +9,7 @@ path functional, so every epoch takes one gradient step on the whole window.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,18 @@ class LossParts:
     hinge_term: float
 
 
-def _window(window_weights):
+Window = namedtuple("Window", "X ratios")  # a window's rows 0..T-1 and its step ratios, (T, n) each
+
+
+def _window(window_weights) -> Window:
+    """The Window of a weight window of T+1 rows: X = W[:-1] and ratios = W[1:] / W[:-1].
+    A Window passes through, so train_window checks and divides once for all its epochs."""
+    if isinstance(window_weights, Window):
+        return window_weights
     W = np.asarray(window_weights, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise ConfigError("training window needs at least 2 rows")
-    return W
+    return Window(W[:-1], W[1:] / W[:-1])
 
 
 def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
@@ -80,11 +88,11 @@ def build_loss(nodes, window_weights, cfg: TrainConfig, widths):
     returned node is scalar and differentiable in every parameter leaf; one
     reverse pass over it is the reference for the hand-written adjoint.
     """
-    W = _window(window_weights)
-    T = W.shape[0] - 1
+    window = _window(window_weights)
+    T = len(window.X)
     K = len(widths)
-    X = ad.constant(W[:-1])
-    ratios = ad.constant(W[1:] / W[:-1])
+    X = ad.constant(window.X)
+    ratios = ad.constant(window.ratios)
 
     P = [X @ ad.transpose(nodes["W0"]) + nodes["b0"]]
     Z = ad.softplus(P[0])
@@ -125,7 +133,8 @@ def loss(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
 
 @_quiet
-def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, work: icnn.Work = None):
+def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, work: icnn.Work = None,
+                   out: icnn.ICNNParams = None):
     """Loss parts plus d(loss)/d(theta), an ICNNParams of theta's layout, in straight-line numpy.
 
     The forward pass is fgp.neural_map plus the loss terms. The reverse pass takes the terms'
@@ -136,20 +145,20 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
     NumericError if the loss or a gradient entry is not finite.
 
     work is the icnn.Work set of both ICNN passes over the window's T rows, handed to
-    fgp.neural_map.
+    fgp.neural_map, and out the ICNNParams the gradient is written into, handed to
+    icnn.param_gradient; either is fresh when None.
     """
-    W = _window(window_weights)
-    T = W.shape[0] - 1
-    X, ratios = W[:-1], W[1:] / W[:-1]
+    X, ratios = _window(window_weights)
+    T = len(X)
     nm = fgp.neural_map(theta, X, work)
 
     # log wealth, penalty and hinge (build_loss)
     step_returns = (nm.pi * ratios).sum(axis=1)
     log_v_term = (-1.0 / T) * np.log(step_returns).sum()
     norms = np.sqrt((nm.pi * nm.pi).sum(axis=1))
-    penalty = cfg.lambda_l2 * norms.mean()
+    penalty = cfg.lambda_l2 * (norms.sum() / T)  # a mean: the same add.reduce, then the same divide
     slack = np.maximum(POS_MARGIN - nm.G, 0.0)
-    hinge = POS_WEIGHT * (slack * slack).mean()
+    hinge = POS_WEIGHT * ((slack * slack).sum() / T)
     total = log_v_term + penalty + hinge
     if not np.isfinite(total):
         raise NumericError("training loss is not finite")
@@ -160,19 +169,21 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
     d_pi = d_pi + 2.0 * ((cfg.lambda_l2 / T) / (2.0 * norms))[:, None] * nm.pi
     # the hinge's mask is left out: slack is already zero wherever it is off
     d_f, d_grad = fgp.neural_map_adjoint(nm, X, d_pi, -(2.0 * (POS_WEIGHT / T) * slack))
-    grads = icnn.param_gradient(theta, X, nm.work, d_f, d_grad)
+    grads = icnn.param_gradient(theta, X, nm.work, d_f, d_grad, out)
     if not np.isfinite(grads.flat).all():
         raise NumericError("training gradient is not finite")
     return parts, grads
 
 
 @_quiet
-def adam_step(theta: icnn.ICNNParams, grads: icnn.ICNNParams, state: AdamState, cfg: TrainConfig):
+def adam_step(theta: icnn.ICNNParams, grads: icnn.ICNNParams, state: AdamState, cfg: TrainConfig,
+              out: icnn.ICNNParams = None):
     """Standard Adam with bias correction on the flat vector, then the convexity projection.
 
-    state.m and state.v are updated in place, and every temporary goes into state.scratch, so
-    the one new array is the new iterate, projected in place. theta is not written, as
-    train_window may keep it as its best iterate. NumericError if the step overflows.
+    state.m and state.v are updated in place, and every temporary goes into state.scratch. The
+    new iterate is written into out, an ICNNParams in theta's layout (a fresh one when out is
+    None), and projected there in place; out is returned. theta is written only when it is out,
+    as train_window's iterate is from its second step on. NumericError if the step overflows.
     """
     state.step += 1
     t = state.step
@@ -188,10 +199,11 @@ def adam_step(theta: icnn.ICNNParams, grads: icnn.ICNNParams, state: AdamState, 
     step = np.multiply(lr, np.divide(state.m, 1.0 - b1**t, out=a), out=a)
     denom = np.sqrt(np.divide(state.v, 1.0 - b2**t, out=b), out=b)
     denom += ADAM_EPS
-    updated = theta.flat - np.divide(step, denom, out=a)
-    if not np.isfinite(updated).all():
+    updated = icnn.ICNNParams(np.empty_like(theta.flat), theta.n, theta.widths) if out is None else out
+    np.subtract(theta.flat, np.divide(step, denom, out=a), out=updated.flat)
+    if not np.isfinite(updated.flat).all():
         raise NumericError("training step is not finite")
-    return icnn.project_constraints(icnn.ICNNParams(updated, theta.n, theta.widths)), state
+    return icnn.project_constraints(updated), state
 
 
 def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
@@ -199,21 +211,27 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
     The returned parameters are the ones with the lowest recorded loss, not
     the last iterate. Deterministic given theta0 and the window.
+
+    The window owns every parameter-sized buffer, so an epoch builds none: the gradient, the
+    iterate, which the first step fills from theta0 and every later step updates in place, and
+    the best iterate, copied in whenever the loss improves. theta0 is not written.
     """
-    theta = theta0
-    state = AdamState.for_params(theta)
-    work = icnn.Work(_window(window_weights).shape[0] - 1, theta.widths)
-    best_theta, best_loss = theta, np.inf
+    window = _window(window_weights)
+    grads, iterate, best = (icnn.ICNNParams(np.empty_like(theta0.flat), theta0.n, theta0.widths) for _ in range(3))
+    state = AdamState.for_params(theta0)
+    work = icnn.Work(len(window.X), theta0.widths)
+    theta, best_loss = theta0, np.inf
     log_rows = []
     for epoch in range(cfg.epochs):
-        parts, grads = loss_gradients(theta, window_weights, cfg, work)
+        parts, grads = loss_gradients(theta, window, cfg, work, grads)
         log_rows.append((epoch, parts.total, parts.log_v_term, parts.penalty_term, parts.hinge_term))
         if parts.total < best_loss:
-            best_loss, best_theta = parts.total, theta
-        theta, state = adam_step(theta, grads, state, cfg)
-    if loss(theta, window_weights, cfg).total < best_loss:
-        best_theta = theta
-    return best_theta, log_rows
+            best_loss = parts.total
+            np.copyto(best.flat, theta.flat)
+        theta, state = adam_step(theta, grads, state, cfg, iterate)
+    if loss(theta, window, cfg).total < best_loss:
+        return theta, log_rows
+    return best, log_rows
 
 
 def write_training_log(path, log_rows):

@@ -121,6 +121,14 @@ def test_failing_checks_name_the_first_failure(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("row, step", [(7, 7), (0, 1)], ids=["zero-last-step", "infinite-first-step"])
+def test_relative_wealth_rejects_a_lone_zero_or_infinite_step(row, step):
+    # W[row, 0] = 0 with every weight on asset 0: the last step earns 0, or the first earns 1/0,
+    # and every other step is sound, so each bound of the step check is met alone
+    with np.errstate(divide="ignore"), pytest.raises(DataError, match=f"at step {step}$"):
+        backtest.relative_wealth(asset_0_fn, path_with(row, [0.0, 0.5, 0.5]))
+
+
 # --- window layout ------------------------------------------------------------
 
 
@@ -198,6 +206,13 @@ def test_master_residual_checks_the_slice_for_every_kind(gen, W, message):
     # the constant kind's exact zeros come only after the same check as every other kind
     with pytest.raises(DataError, match=message):
         backtest.master_residual(gen, W)
+
+
+@pytest.mark.parametrize("gen", KINDS, ids=lambda gen: gen.kind)
+@pytest.mark.parametrize("value", [0.0, np.inf], ids=["zero", "inf"])
+def test_master_residual_rejects_a_zero_or_infinite_weight(gen, value):
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DataError, match="finite and positive"):
+        backtest.master_residual(gen, path_with(3, [value, 0.5, 0.5]))
 
 
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("entropy")])
@@ -311,6 +326,14 @@ def test_master_terms_nontrivial_on_volatile_path():
 # --- walk-forward --------------------------------------------------------------
 
 
+def test_walk_forward_accepts_the_smallest_windows():
+    # two training days give a training window of 3 rows (T = 2), one test day a 2-row slice
+    path = weights_from_gbm(n_assets=3, n_days=8, seed=5)
+    report = backtest.walk_forward(path, fast_walk_config(train_days=2, test_days=1))
+    assert report.n_windows == backtest.window_count(8, 2, 1) == 5
+    assert report.boundaries[-1] == (4, 6, 7)
+
+
 @pytest.mark.parametrize("p_vals", [(1.5,), (0.5, 0.0), (float("nan"),)])
 def test_walk_forward_config_checks_exponents_before_any_window_trains(p_vals):
     with pytest.raises(ConfigError, match="diversity exponent"):
@@ -373,11 +396,12 @@ def test_walk_forward_parallel_matches_serial():
 
 
 def test_walk_forward_pool_has_at_most_one_worker_per_window(monkeypatch):
-    # a fake pool records its size and maps serially, so no process is started
+    # a fake pool records its size and maps serially, so no process is started; it drops the
+    # initializer, which would run BLAS on one thread in this process for good
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):

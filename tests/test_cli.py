@@ -517,3 +517,16 @@ def test_utf8_files_under_an_ascii_locale(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+
+
+def test_report_prints_a_non_ascii_label_under_an_ascii_locale(tmp_path):
+    # the label's character cannot be encoded on stdout, so it prints as its escape
+    (tmp_path / "summary.csv").write_bytes("strategy,avg_log_relative_return,K\nFé,0.1,3\nEWP,0.2,3\n".encode("utf-8"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.update(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "neuralfgp.cli", "report", str(tmp_path)], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("ascii").splitlines()[1:] == ["F\\xe9   0.1                3", "EWP     0.2                3"]

@@ -178,8 +178,12 @@ def test_csv_line_endings_parse_alike(text):
         ("date,AAA,BBB\n1,10,20\n--5,11,21\n", "mix integer"),
         # PricePath's own checks name the source too
         ("date,AAA,BBB\n2,10,20\n1,11,21\n", "^<string>: dates must be strictly increasing"),
+        ("date,AAA,BBB\n1,10,20\n1,11,21\n", "^<string>: dates must be strictly increasing"),
     ],
-    ids=["field-over-limit", "duplicate-ticker", "superscript-date", "double-minus-date", "dates-out-of-order"],
+    ids=[
+        "field-over-limit", "duplicate-ticker", "superscript-date", "double-minus-date", "dates-out-of-order",
+        "dates-repeated",
+    ],
 )
 def test_csv_malformed_text_is_data_error(text, match):
     with pytest.raises(DataError, match=match):

@@ -217,12 +217,8 @@ def test_overflowing_adam_step_is_numeric_error():
         training.adam_step(theta, grads, state, cfg)
 
 
-def test_train_window_matches_tape_loop():
-    # the training loop of train_window, driven by the tape's gradients
-    rng = np.random.default_rng(13)
-    window = rng.dirichlet(np.full(5, 20.0), 201)
-    theta0 = icnn.init(5, (64, 64), seed=3)
-    cfg = training.TrainConfig(epochs=20)
+def tape_train_window(theta0, window, cfg):
+    """The training loop of train_window, driven by the tape's gradients, with a fresh iterate per step."""
     theta, state = theta0, training.AdamState.for_params(theta0)
     best_theta, best_loss, ref_rows = theta0, np.inf, []
     for epoch in range(cfg.epochs):
@@ -233,11 +229,43 @@ def test_train_window_matches_tape_loop():
         theta, state = training.adam_step(theta, grads, state, cfg)
     if training.loss(theta, window, cfg).total < best_loss:
         best_theta = theta
+    return best_theta, ref_rows
 
+
+def test_train_window_matches_tape_loop():
+    rng = np.random.default_rng(13)
+    window = rng.dirichlet(np.full(5, 20.0), 201)
+    theta0 = icnn.init(5, (64, 64), seed=3)
+    cfg = training.TrainConfig(epochs=20)
+    best_theta, ref_rows = tape_train_window(theta0, window, cfg)
     got_theta, rows = training.train_window(theta0, window, cfg)
     assert rows == ref_rows
     for (name, a), (_, b) in zip(got_theta.arrays(), best_theta.arrays()):
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_train_window_returns_an_inner_best_epoch_bit_for_bit():
+    # the best epoch lies strictly between the first and the last, so later epochs overwrite the
+    # iterate after it: the returned theta must be a copy that no later epoch wrote
+    window = np.random.default_rng(3).dirichlet(np.full(4, 20.0), 31)
+    theta0 = icnn.init(4, (8, 8), seed=3)
+    cfg = training.TrainConfig(epochs=30, learning_rate=0.05)
+    best_theta, ref_rows = tape_train_window(theta0, window, cfg)
+    got_theta, rows = training.train_window(theta0, window, cfg)
+    losses = [row[1] for row in rows]
+    assert 0 < losses.index(min(losses)) < cfg.epochs - 1
+    assert rows == ref_rows
+    assert got_theta.flat.tobytes() == best_theta.flat.tobytes()
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 5])
+def test_train_window_leaves_theta0_unwritten(epochs):
+    window = random_window(np.random.default_rng(17), 3, 9)
+    theta0 = icnn.init(3, (4, 4), seed=4)
+    before = theta0.flat.copy()
+    theta, _ = training.train_window(theta0, window, training.TrainConfig(epochs=epochs, learning_rate=0.05))
+    assert theta0.flat.tobytes() == before.tobytes()
+    assert not np.shares_memory(theta.flat, theta0.flat)
 
 
 # --- Adam -------------------------------------------------------------------
@@ -434,3 +462,23 @@ def test_training_log_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "epoch,loss,log_v_term,penalty_term,hinge_term"
     assert len(lines) == 4
+
+
+def test_out_buffers_take_every_entry_of_the_fresh_result():
+    # NaN-filled buffers: an entry that the out= path leaves unwritten would show
+    window = random_window(np.random.default_rng(18), 3, 13)
+    theta = icnn.init(3, (5, 4), seed=6)
+    cfg = training.TrainConfig(learning_rate=0.05)
+
+    def nan_params():
+        return icnn.ICNNParams(np.full_like(theta.flat, np.nan), theta.n, theta.widths)
+
+    parts, grads = training.loss_gradients(theta, window, cfg)
+    buf = nan_params()
+    parts_out, grads_out = training.loss_gradients(theta, window, cfg, out=buf)
+    assert parts_out == parts and grads_out is buf
+    assert buf.flat.tobytes() == grads.flat.tobytes()
+    new, _ = training.adam_step(theta, grads, training.AdamState.for_params(theta), cfg)
+    buf = nan_params()
+    assert training.adam_step(theta, grads, training.AdamState.for_params(theta), cfg, out=buf)[0] is buf
+    assert buf.flat.tobytes() == new.flat.tobytes()
