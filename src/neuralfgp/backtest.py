@@ -9,14 +9,13 @@ restarting at 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fgp, icnn
 from .errors import ConfigError, DataError, NumericError
-from .market_data import MarketWeightPath
+from .market_data import MarketWeightPath, read_csv, write_csv
 from .training import TrainConfig, train_window
 
 
@@ -240,32 +239,30 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
 
 
 def write_window_csv(path, report: WalkForwardReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "strategy", "V_Tk", "log_V_Tk"])
-        for k in range(report.n_windows):
-            for label in report.labels:
-                v = report.terminal[label][k]
-                writer.writerow([k + 1, label, repr(float(v)), repr(float(np.log(v)))])
+    rows = (
+        (k + 1, label, report.terminal[label][k], np.log(report.terminal[label][k]))
+        for k in range(report.n_windows)
+        for label in report.labels
+    )
+    write_csv(path, ["window", "strategy", "V_Tk", "log_V_Tk"], rows)
 
 
 def write_summary_csv(path, report: WalkForwardReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "avg_log_relative_return", "K"])
-        for label, avg, k in summarize(report):
-            writer.writerow([label, repr(avg), k])
+    write_csv(path, ["strategy", "avg_log_relative_return", "K"], summarize(report))
 
 
 def read_summary_csv(path):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *body = csv.reader(fh)
+    with read_csv(path) as reader:
+        header = next(reader, None)
         if header != ["strategy", "avg_log_relative_return", "K"]:
             raise DataError(f"{path}: unexpected summary header {header}")
-        rows = [(label, float(avg), int(k)) for label, avg, k in body]
-    except ValueError as exc:  # an empty file, a non-numeric cell, a short row or non-UTF-8 text
-        raise DataError(f"{path}: malformed summary: {exc}") from None
+        rows = []
+        for row in reader:  # outside the try: read_csv maps the reader's own errors, a decode error included
+            try:
+                label, avg, k = row
+                rows.append((label, float(avg), int(k)))
+            except ValueError as exc:  # a non-numeric cell, or a row of other than 3 cells
+                raise DataError(f"{path}: malformed summary: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no strategy rows")
     return rows

@@ -105,8 +105,8 @@ def parse_config_file(path):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[KEYS[key]] = OPTIONS[KEYS[key]]["parse"](raw)
+        try:  # the value's bytes decoded as argv is, so a file name names the file its flag would
+            values[KEYS[key]] = OPTIONS[KEYS[key]]["parse"](os.fsdecode(raw.encode("utf-8")))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: config key {key}: cannot parse {raw!r}") from None
     return values
@@ -203,10 +203,7 @@ def cmd_backtest(args):
 
 
 def cmd_report(args):
-    path = os.path.join(args.report_dir, "summary.csv")
-    if not os.path.exists(path):
-        raise DataError(f"no summary.csv under {args.report_dir}")
-    rows = backtest.read_summary_csv(path)
+    rows = backtest.read_summary_csv(os.path.join(args.report_dir, "summary.csv"))
     _print_summary(rows)
     return EXIT_OK
 

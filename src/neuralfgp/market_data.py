@@ -5,6 +5,7 @@ All functions are pure; the simulator's PRNG state is local to each call.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -122,23 +123,19 @@ def load_prices_csv(path) -> PricePath:
     Missing cells are forward-filled from the previous row; leading rows that
     still contain gaps are dropped.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_prices(fh, str(path))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # a missing, unreadable, non-text or malformed file
-        raise DataError(f"cannot read {path}: {exc}") from None
+    with read_csv(path) as reader:
+        return _parse_prices(reader, str(path))
 
 
 def parse_prices_csv(text) -> PricePath:
     """Same as load_prices_csv but from an in-memory string."""
     try:
-        return _parse_prices(io.StringIO(text, newline=""), "<string>")
+        return _parse_prices(csv.reader(io.StringIO(text, newline="")), "<string>")
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise DataError(f"<string>: malformed CSV: {exc}") from None
 
 
-def _parse_prices(fh, name):
-    reader = csv.reader(fh)
+def _parse_prices(reader, name):
     header = next(reader, [])
     if len(header) < 3 or header[0].strip().lower() != "date":
         raise DataError(f"{name}: expected header 'date,<ticker>,...' with >= 2 tickers")
@@ -193,11 +190,34 @@ def _parse_prices(fh, name):
 
 def write_prices_csv(path, price_path: PricePath):
     """Write the wide-format CSV schema consumed by load_prices_csv."""
+    rows = ([date, *row] for date, row in zip(price_path.dates, price_path.prices))
+    write_csv(path, ["date", *price_path.tickers], rows)
+
+
+@contextlib.contextmanager
+def read_csv(path):
+    """Stream the rows of a CSV file in write_csv's format, as a csv.reader that builds no list.
+
+    A file that cannot be opened, is not UTF-8 or is not well-formed CSV, such as a field over
+    csv.field_size_limit(), is a one-line DataError naming the path, raised on open or on the
+    row that fails. An OSError, UnicodeDecodeError or csv.Error raised by the caller's own code
+    inside the with block is mapped the same way, so that block should parse rows and do no
+    other I/O.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def write_csv(path, header, rows):
+    """The package's one CSV format: UTF-8, csv's default dialect, a float cell (np.float64
+    included) as repr(float(x)), so it reads back bit for bit, and every other cell unchanged."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + list(price_path.tickers))
-        for date, row in zip(price_path.dates, price_path.prices):
-            writer.writerow([date] + [repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def fetch_csv(url, out_path):

@@ -8,7 +8,6 @@ path functional, so every epoch takes one gradient step on the whole window.
 
 from __future__ import annotations
 
-import csv
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fgp, icnn
 from .errors import ConfigError, NumericError
+from .market_data import write_csv
 
 POS_MARGIN = 0.1  # hinge margin delta keeping G above it
 POS_WEIGHT = 1.0  # hinge coefficient
@@ -236,8 +236,4 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
 def write_training_log(path, log_rows):
     """One CSV row per epoch: epoch, loss, log V_T term, penalty term, hinge term."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "log_v_term", "penalty_term", "hinge_term"])
-        for row in log_rows:
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+    write_csv(path, ["epoch", "loss", "log_v_term", "penalty_term", "hinge_term"], log_rows)

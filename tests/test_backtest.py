@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from neuralfgp import backtest, fgp, icnn, market_data as md, training
 from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
@@ -257,6 +259,105 @@ def test_neural_master_residual_matches_the_public_maps_bit_for_bit(widths, n):
         backtest.master_residual(gen, np.full((8, n + 1), 1.0 / (n + 1)))
 
 
+def no_net_binds(theta, W):
+    """True when no safety net of the neural map binds on any row of W: the neural FGP is then the
+    one its G generates, and the pathwise decomposition holds for it."""
+    nm = fgp.neural_map(theta, W)
+    return bool(
+        (nm.G > fgp.G_FLOOR).all()
+        and (np.abs(nm.grad_log_g) < fgp.GRAD_CLIP).all()
+        and (nm.pi_raw > fgp.PORTFOLIO_WEIGHT_FLOOR).all()
+    )
+
+
+def neural_thetas():
+    """Init thetas of three widths, seeds 0-2, and one theta trained for 20 epochs on its own path."""
+    thetas = [icnn.init(3, widths, seed) for widths in ((8,), (16, 8), (64, 64)) for seed in range(3)]
+    train = weights_from_gbm(n_assets=3, n_days=201, seed=100).weights
+    trained, _ = training.train_window(icnn.init(3, (16, 8), seed=0), train, training.TrainConfig(epochs=20))
+    return thetas + [trained]
+
+
+def test_neural_master_residual_shrinks_with_step():
+    # criterion 7's fine paths for the neural FGP: the pooled residual falls at every halving of the
+    # step and stays far below |log V|. Bounds from path seeds 5-24 over 164 dev thetas where no net
+    # binds: per-path |residual| at most 4.3e-5, pooled |residual| at most 7.8e-4 of pooled |log V|
+    fines = [weights_from_gbm(n_assets=3, n_days=241, dt=1.0 / 1008.0, seed=seed).weights for seed in range(5)]
+    for theta in neural_thetas():
+        gen = fgp.Generator("neural", theta=theta)
+        assert all(no_net_binds(theta, W) for W in fines)
+        sums, log_v = {4: 0.0, 2: 0.0, 1: 0.0}, 0.0
+        for W in fines:
+            for stride in (4, 2, 1):
+                dec = backtest.master_residual(gen, W[::stride])
+                assert abs(dec.residual) < 1e-4
+                sums[stride] += abs(dec.residual)
+            log_v += abs(dec.log_v)  # of the stride-1 split
+        assert sums[1] < sums[2] < sums[4], (theta.widths, sums)
+        assert sums[1] < 5e-3 * log_v, (theta.widths, sums, log_v)
+
+
+def test_neural_log_g_ratio_is_g_from_the_icnn():
+    # G = -f straight from icnn.forward, with the floor spelled as np.where: a slice where no net
+    # binds gives the ratio's exact bits, and rows where -f falls below the floor read G_FLOOR
+    for theta in neural_thetas():
+        for seed in range(3):
+            W = weights_from_gbm(n_assets=3, n_days=21, seed=seed).weights
+            assert no_net_binds(theta, W)
+            G = -icnn.forward(theta, W)
+            dec = backtest.master_residual(fgp.Generator("neural", theta=theta), W)
+            assert dec.log_g_ratio == float(np.log(G[-1] / G[0]))
+    theta = icnn.init(3, (8,), seed=0)
+    W = weights_from_gbm(n_assets=3, n_days=21, seed=0).weights
+    theta.c[...] += np.median(-icnn.forward(theta, W))  # G - median(G): half the rows fall below 0
+    G = -icnn.forward(theta, W)
+    assert (G < fgp.G_FLOOR).any() and (G > fgp.G_FLOOR).any()
+    got = fgp.generator_value(fgp.Generator("neural", theta=theta), W)
+    assert got.tobytes() == np.where(G > fgp.G_FLOOR, G, fgp.G_FLOOR).tobytes()
+
+
+def shift_u_along_ones(theta, lam):
+    """u + lam * 1 and c - lam: f is unchanged on the simplex, grad f moves along its normal."""
+    moved = icnn.ICNNParams(theta.flat.copy(), theta.n, theta.widths)
+    moved.u[...] += lam
+    moved.c[...] -= lam
+    return moved
+
+
+def scale_output_layer(theta, alpha):
+    """alpha * (w, u, c): G is scaled by alpha > 0, so grad log G and H / G are unchanged."""
+    moved = icnn.ICNNParams(theta.flat.copy(), theta.n, theta.widths)
+    for view in (moved.w, moved.u, moved.c):
+        view[...] *= alpha
+    return moved
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.sampled_from([(4,), (16, 8), (8, 8, 4)]),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    transform=st.one_of(
+        st.tuples(st.just(shift_u_along_ones), st.floats(-10.0, 10.0)),
+        st.tuples(st.just(scale_output_layer), st.floats(0.01, 100.0)),
+    ),
+)
+def test_neural_map_and_split_invariant_under_theta_symmetries(widths, n, seed, transform):
+    # two changes of theta leave the neural FGP and its pathwise split unchanged in exact
+    # arithmetic, on rows where no safety net binds; the tape cannot check this, it encodes the map
+    move, value = transform
+    theta = icnn.init(n, widths, seed=seed)
+    moved = move(theta, value)
+    W = weights_from_gbm(n_assets=n, n_days=21, seed=seed).weights
+    assume(no_net_binds(theta, W) and no_net_binds(moved, W))
+    pi, pi_moved = fgp.neural_weights(theta, W).pi, fgp.neural_weights(moved, W).pi
+    assert np.abs(pi_moved - pi).max() < 1e-12
+    dec = backtest.master_residual(fgp.Generator("neural", theta=theta), W)
+    dec_moved = backtest.master_residual(fgp.Generator("neural", theta=moved), W)
+    assert abs(dec_moved.log_g_ratio - dec.log_g_ratio) < 1e-12
+    assert abs(dec_moved.drift_integral - dec.drift_integral) <= 1e-12 * abs(dec.drift_integral)
+
+
 def hessian_with_mask(gen, x):
     """The classical Hessians as first written: an (m, n, n) outer product and an np.eye mask for every kind."""
     x = np.asarray(x, dtype=np.float64)
@@ -445,6 +546,23 @@ def test_csv_outputs_round_trip(tmp_path):
     for label, avg, k in rows:
         assert avg == report.average_log_return(label)
         assert k == report.n_windows
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # past the reader's first buffered chunk, so the decode error is raised while the body is parsed
+        (b"E" * 20_000 + b",0.2,3\nF\xe9,0.1,3\n", "cannot read .*utf-8"),
+        (b"F,x,3\n", "malformed summary: could not convert"),
+        (b"F,0.1\n", "malformed summary: not enough values"),
+    ],
+    ids=["non-utf8-row", "non-numeric-cell", "short-row"],
+)
+def test_read_summary_csv_names_read_and_parse_errors_apart(tmp_path, body, message):
+    summary = tmp_path / "summary.csv"
+    summary.write_bytes(b"strategy,avg_log_relative_return,K\n" + body)
+    with pytest.raises(DataError, match=message):
+        backtest.read_summary_csv(summary)
 
 
 def test_svg_output(tmp_path):

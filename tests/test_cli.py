@@ -256,6 +256,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({"afile": ""}, ["backtest", "--n", "2", "--days", "45", *FAST, "--out", "{tmp}/afile/run"], 3),
         ({"run/summary.csv": "strategy,avg_log_relative_return,K\n"}, ["report", "{tmp}/run"], 3),
         ({"run/summary.csv": "strategy,avg_log_relative_return,K\nF\u00e9,0.1,3\n"}, ["report", "{tmp}/run"], 3),
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\n" + "F" * 200_000 + ",0.1,3\n"}, ["report", "{tmp}/run"], 3),
         # a non-finite hyperparameter is rejected before the data is read: exit 2, not the missing file's 3
         ({}, ["train", "--data", "{tmp}/missing.csv", "--lambda", "nan"], 2),
         ({}, ["backtest", "--data", "{tmp}/missing.csv", "--lr", "inf"], 2),
@@ -284,7 +285,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
-        "non-utf8-summary", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
+        "non-utf8-summary", "oversized-summary-field", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
@@ -517,6 +518,27 @@ def test_utf8_files_under_an_ascii_locale(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "u.csv").read_bytes()
+
+
+def test_non_ascii_config_file_name_under_an_ascii_locale(tmp_path):
+    # a config value names the file its flag would: the name's UTF-8 bytes, whatever the locale
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    env.update(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    for name, text, argv in (
+        ("s.cfg", "out = pr\u00e9.csv\n", ["simulate", "--n", "3", "--days", "60"]),
+        ("t.cfg", "data = pr\u00e9.csv\nout = t\n", ["train", *FAST]),
+        ("b.cfg", "out = b\u00e9\n", ["backtest", "--n", "2", "--days", "45", *FAST]),
+    ):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "neuralfgp.cli", *argv, "--config", name],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    root = os.fsencode(tmp_path)
+    assert sorted(os.listdir(root)) == [b"b.cfg", b"b\xc3\xa9", b"pr\xc3\xa9.csv", b"s.cfg", b"t", b"t.cfg"]
+    assert sorted(os.listdir(root + b"/t")) == [b"theta.json", b"training_log.csv"]
+    assert sorted(os.listdir(root + b"/b\xc3\xa9")) == [b"summary.csv", b"windows.csv"]
 
 
 def test_report_prints_a_non_ascii_label_under_an_ascii_locale(tmp_path):
