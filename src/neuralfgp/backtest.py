@@ -252,17 +252,17 @@ def write_summary_csv(path, report: WalkForwardReport):
 
 
 def read_summary_csv(path):
-    with read_csv(path) as reader:
-        header = next(reader, None)
-        if header != ["strategy", "avg_log_relative_return", "K"]:
-            raise DataError(f"{path}: unexpected summary header {header}")
-        rows = []
-        for row in reader:  # outside the try: read_csv maps the reader's own errors, a decode error included
-            try:
-                label, avg, k = row
-                rows.append((label, float(avg), int(k)))
-            except ValueError as exc:  # a non-numeric cell, or a row of other than 3 cells
-                raise DataError(f"{path}: malformed summary: {exc}") from None
+    reader = read_csv(path)
+    header = next(reader, None)
+    if header != ["strategy", "avg_log_relative_return", "K"]:
+        raise DataError(f"{path}: unexpected summary header {header}")
+    rows = []
+    for row in reader:
+        try:
+            label, avg, k = row
+            rows.append((label, float(avg), int(k)))
+        except ValueError as exc:  # a non-numeric cell, or a row of other than 3 cells
+            raise DataError(f"{path}: malformed summary: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no strategy rows")
     return rows

@@ -14,12 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import backtest, icnn, market_data, training
-from .errors import ConfigError, DataError, NumericError
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+from .errors import ConfigError, DataError, NeuralFgpError
 
 TRAIN_SEED_OFFSET = 1000
 
@@ -32,6 +27,13 @@ def float_list(text):
 def int_list(text):
     """Comma-separated integers, e.g. '64,64'; empty items are skipped."""
     return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def file_name(text):
+    """A file or directory name; a NUL byte, which no file name can hold, is rejected."""
+    if "\0" in text:
+        raise ValueError("a file name cannot hold a NUL byte")
+    return text
 
 
 def boolean(text):
@@ -58,7 +60,7 @@ class RunConfig:
         backtest.WalkForwardConfig.p_vals, "--p-vals", float_list, "comma-separated diversity exponents"
     )
     days: int = setting(market_data.GbmConfig.n_days, "--days", int, "synthetic path length")
-    data: str = setting(None, "--data", str, "wide-format price CSV")
+    data: str = setting(None, "--data", file_name, "wide-format price CSV")
     train_days: int = setting(backtest.WalkForwardConfig.train_days, "--train-days", int, "rows per training window")
     test_days: int = setting(backtest.WalkForwardConfig.test_days, "--test-days", int, "rows per test slice")
     epochs: int = setting(training.TrainConfig.epochs, "--epochs", int, "training epochs per window")
@@ -73,7 +75,7 @@ class RunConfig:
         "carry parameters across walk-forward windows (default)",
     )
     jobs: int = setting(backtest.WalkForwardConfig.jobs, "--jobs", int, "parallel walk-forward workers")
-    out: str = setting(None, "--out", str, "output file of simulate (default prices.csv) or directory (default out)")
+    out: str = setting(None, "--out", file_name, "output file of simulate (default prices.csv) or directory (default out)")
     svg: bool = setting(False, "--svg", boolean, "also write an SVG chart")
 
     def __post_init__(self):
@@ -92,7 +94,7 @@ def parse_config_file(path):
     """Flat key=value lines; '#' starts a comment; unknown keys rejected. Returns field name -> value."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not part of the first key
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-text file
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
@@ -158,13 +160,13 @@ def cmd_simulate(args):
     out = cfg.out or "prices.csv"
     market_data.write_prices_csv(out, prices)
     print(f"wrote {prices.prices.shape[0]} days x {prices.prices.shape[1]} assets (seed {cfg.seed}) to {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_fetch(args):
     out = market_data.fetch_csv(args.url, args.out or "prices.csv")
     print(f"fetched {args.url} -> {out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_train(args):
@@ -184,7 +186,7 @@ def cmd_train(args):
     best = min(row[1] for row in log_rows)
     print(f"trained {cfg.epochs} epochs on {cfg.train_days} days; best loss {best:.6g}")
     print(f"artifacts in {out}/: theta.json, training_log.csv")
-    return EXIT_OK
+    return 0
 
 
 def cmd_backtest(args):
@@ -199,13 +201,13 @@ def cmd_backtest(args):
         backtest.write_svg(os.path.join(out, "terminal_wealth.svg"), report)
     _print_summary(backtest.summarize(report))
     print(f"reports in {out}/")
-    return EXIT_OK
+    return 0
 
 
 def cmd_report(args):
     rows = backtest.read_summary_csv(os.path.join(args.report_dir, "summary.csv"))
     _print_summary(rows)
-    return EXIT_OK
+    return 0
 
 
 def _print_summary(rows):
@@ -238,7 +240,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"configuration error: {self.prog}: {message}\n")
+        self.exit(ConfigError.exit_code, f"{ConfigError.label}: {self.prog}: {message}\n")
 
 
 def build_parser():
@@ -277,21 +279,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except NeuralFgpError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:  # sizes numpy can index but this machine cannot hold
-        print(f"configuration error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{ConfigError.label}: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
     except OSError as exc:  # e.g. an output path under a missing directory or a regular file
         print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ All functions are pure; the simulator's PRNG state is local to each call.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -123,8 +122,7 @@ def load_prices_csv(path) -> PricePath:
     Missing cells are forward-filled from the previous row; leading rows that
     still contain gaps are dropped.
     """
-    with read_csv(path) as reader:
-        return _parse_prices(reader, str(path))
+    return _parse_prices(read_csv(path), str(path))
 
 
 def parse_prices_csv(text) -> PricePath:
@@ -194,19 +192,17 @@ def write_prices_csv(path, price_path: PricePath):
     write_csv(path, ["date", *price_path.tickers], rows)
 
 
-@contextlib.contextmanager
 def read_csv(path):
-    """Stream the rows of a CSV file in write_csv's format, as a csv.reader that builds no list.
+    """Yield the rows of a CSV file in write_csv's format one at a time, building no list.
 
-    A file that cannot be opened, is not UTF-8 or is not well-formed CSV, such as a field over
-    csv.field_size_limit(), is a one-line DataError naming the path, raised on open or on the
-    row that fails. An OSError, UnicodeDecodeError or csv.Error raised by the caller's own code
-    inside the with block is mapped the same way, so that block should parse rows and do no
-    other I/O.
+    The file is read as UTF-8, a leading byte-order mark skipped. A file that cannot be opened,
+    is not UTF-8 or is not well-formed CSV, such as a field over csv.field_size_limit(), is a
+    one-line DataError naming the path, raised on the first row or on the row that fails. An
+    error the caller raises while it handles a row is raised in the caller's frame, unchanged.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield from csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -223,7 +219,8 @@ def write_csv(path, header, rows):
 def fetch_csv(url, out_path):
     """Download a wide-format price CSV from a URL (http, https or file).
 
-    Opt-in network use; validates the payload parses before writing it out.
+    Opt-in network use; validates the payload parses before writing it out, without a leading
+    UTF-8 byte-order mark.
     """
     import http.client  # imported here so the other commands skip their import cost
     import urllib.parse
@@ -241,7 +238,7 @@ def fetch_csv(url, out_path):
     except (OSError, http.client.HTTPException) as exc:
         raise DataError(f"cannot fetch {url}: {exc}") from None
     try:
-        text = payload.decode("utf-8")
+        text = payload.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise DataError(f"{url}: not UTF-8 text") from None
     parse_prices_csv(text)

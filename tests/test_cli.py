@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from neuralfgp import cli, icnn, market_data as md
 from neuralfgp.backtest import read_summary_csv
+from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
 
 FAST = ["--train-days", "20", "--test-days", "10", "--widths", "3", "--epochs", "2"]
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -63,6 +64,15 @@ def test_config_file_and_flag_override(tmp_path):
 
     direct = tmp_path / "q.csv"
     run(["simulate", "--n", "4", "--days", "40", "--seed", "5", "--out", str(direct)])
+    assert out.read_bytes() == direct.read_bytes()
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 5\nn = 3\ndays = 40\n")
+    out, direct = tmp_path / "p.csv", tmp_path / "q.csv"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    run(["simulate", "--n", "3", "--days", "40", "--seed", "5", "--out", str(direct)])
     assert out.read_bytes() == direct.read_bytes()
 
 
@@ -281,6 +291,10 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # train checks train_days >= 2 as the walk-forward does, before any data is read
         ({}, ["train", "--n", "3", "--days", "30", "--train-days", "-5", "--epochs", "2", "--widths", "4"], 2),
         ({}, ["train", "--data", "{tmp}/missing.csv", "--train-days", "1"], 2),
+        # a NUL byte, which no file name can hold, reaches a file name only from a config file
+        ({"nul.cfg": "out = a\0b.csv\n"}, ["simulate", "--n", "3", "--days", "10", "--config", "{tmp}/nul.cfg"], 2),
+        ({"nul.cfg": "out = a\0b\n"}, ["backtest", "--n", "2", "--days", "45", *FAST, "--config", "{tmp}/nul.cfg"], 2),
+        ({"nul.cfg": "data = a\0b.csv\n"}, ["train", *FAST, "--config", "{tmp}/nul.cfg"], 2),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
@@ -289,6 +303,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
+        "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -327,6 +342,25 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--n", "5", "--days", "10000000000000", "--out", str(tmp_path / "p.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: out of memory") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "error,line,code",
+    [
+        (ConfigError("bad n"), "configuration error: bad n", 2),
+        (DimensionError("shape (2,) vs (3,)"), "configuration error: shape (2,) vs (3,)", 2),
+        (DataError("no rows"), "data error: no rows", 3),
+        (NumericError("loss is nan"), "numeric error: loss is nan", 4),
+    ],
+    ids=["config", "dimension", "data", "numeric"],
+)
+def test_package_error_is_one_line_with_its_class_exit_code(tmp_path, capsys, monkeypatch, error, line, code):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(md, "gbm_simulate", fail)
+    assert run(["simulate", "--out", str(tmp_path / "p.csv")]) == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_overflow_inside_training_prints_no_warning(tmp_path, capsys):
@@ -475,6 +509,16 @@ def test_fetch_file_url(tmp_path, capsys):
     assert run(["fetch", "--url", src.as_uri(), "--out", str(out)]) == 0
     assert out.read_bytes() == src.read_bytes()
     assert "fetched" in capsys.readouterr().out
+
+
+def test_fetch_drops_a_byte_order_mark(tmp_path):
+    src = tmp_path / "src.csv"
+    run(["simulate", "--n", "3", "--days", "20", "--seed", "2", "--out", str(src)])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    out = tmp_path / "fetched.csv"
+    assert run(["fetch", "--url", bom.as_uri(), "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_fetch_unreachable_url_is_data_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,25 @@ def test_csv_identity(tmp_path):
     assert path.tickers == ["AAA", "BBB"]
     np.testing.assert_array_equal(path.prices, [[10, 20], [11, 21], [12, 22]])
     assert path.dates == ["2024-01-02", "2024-01-03", "2024-01-04"]
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + CSV_CLEAN.encode("utf-8"))
+    path = md.load_prices_csv(f)
+    assert path.tickers == ["AAA", "BBB"]
+    np.testing.assert_array_equal(path.prices, [[10, 20], [11, 21], [12, 22]])
+
+
+@pytest.mark.parametrize("error", [csv.Error("the caller's"), OSError("the caller's")], ids=["csv", "os"])
+def test_read_csv_passes_the_callers_own_errors_through(tmp_path, error):
+    # raised while the caller handles a row, not by the read: read_csv does not relabel it
+    f = tmp_path / "p.csv"
+    f.write_text(CSV_CLEAN)
+    with pytest.raises(type(error)) as exc:
+        for _ in md.read_csv(f):
+            raise error
+    assert exc.value is error
 
 
 def test_csv_forward_fill():
