@@ -1,6 +1,7 @@
 """Portfolio weight maps: the generic functionally-generated rule, the
 neural map, and closed-form classical generators with their analytic
-gradients and Hessians.
+gradients and Hessians. The neural generator's Hessian is the negated
+icnn.input_hessian, read off the Work set of a neural map.
 
 Every map takes a point of shape (n,) or a batch of shape (m, n) and works
 row by row on the last axis, so a batch row never reads another row.
@@ -191,9 +192,8 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     if X.ndim != 2 or X.shape[1] != theta.n:
         raise DimensionError(f"neural map: expected rows of shape (m, {theta.n}), got {X.shape}")
     work = icnn.Work(len(X), theta.widths) if work is None else work
-    f, _, S = icnn.forward_layers(theta, X, work)
-    _, _, grad_f = icnn.input_gradient(theta, S, work)
-    neg_grad_f = -grad_f
+    f = icnn.forward_layers(theta, X, work)
+    neg_grad_f = -icnn.input_gradient(theta, work)
     G = -f
     G_col = np.maximum(G, G_FLOOR).reshape(-1, 1)
     grad_log_g = neg_grad_f / G_col
@@ -219,14 +219,8 @@ def neural_map_adjoint(nm: NeuralMap, X, d_pi, d_G):
 
 
 def neural_hessian(theta: icnn.ICNNParams, nm: NeuralMap) -> np.ndarray:
-    """Hessian of G = -f at each row of a neural map's batch, (m, n, n), from the map's S and A."""
-    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
-    # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
-    H, S, A = 0.0, nm.work.S, nm.work.A
-    for k, W in enumerate(theta.W):
-        J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
-        H = H + np.swapaxes(J, -1, -2) @ ((A[k] * (1.0 - S[k]))[..., None] * J)
-    return -H
+    """Hessian of G = -f at each row of a neural map's batch, (m, n, n): icnn.input_hessian negated."""
+    return -icnn.input_hessian(theta, nm.work)
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:

@@ -6,8 +6,10 @@ for k >= 1 and the output vector w). W_0, the passthrough matrices U_k, the
 biases, u and c stay unconstrained.
 
 Two numpy passes over the rows of an input batch serve every evaluation:
-`forward_layers` gives f with the hidden activations and their slopes, and
-`input_gradient` backpropagates f by hand to its input.
+`forward_layers` gives f, and `input_gradient` backpropagates f by hand to its
+input. They leave their activations, slopes and adjoints in a `Work` set, from
+which `input_hessian` builds the Hessian of f and `param_gradient` the gradient
+of a loss in the parameters.
 """
 
 from __future__ import annotations
@@ -129,10 +131,11 @@ class Work:
 
     Whoever owns a batch builds the set and hands it to both passes; a pass overwrites what the
     set held, so a caller that repeats them over one row count, as training does every epoch,
-    builds one set for all of them. Only this module writes into the arrays. param_gradient,
-    the reverse of both passes, reads what they left and puts each (m, m_k) adjoint into an
-    array whose value is dead by then: the sigmoid adjoints into A, 1 - S[k] into S[k] on its
-    last use, and the rest into P and E. After it only Z and D still hold the passes' values.
+    builds one set for all of them. Only this module reads or writes the arrays. input_hessian
+    and param_gradient read what the passes left. param_gradient, the reverse of both passes,
+    puts each (m, m_k) adjoint into an array whose value is dead by then: the sigmoid adjoints
+    into A, 1 - S[k] into S[k] on its last use, and the rest into P and E. After it only Z and
+    D still hold the passes' values, so input_hessian, which reads S and A, runs before it.
     """
 
     def __init__(self, rows, widths):
@@ -157,10 +160,9 @@ def softplus_sigmoid(x, z=None, s=None, e=None):
 
 
 def forward_layers(theta: ICNNParams, X, work: Work):
-    """f (m,) at each row of X, with lists Z of softplus(P_k) and S of sigmoid(P_k), each (m, m_k).
+    """f (m,) at each row of X, leaving softplus(P_k) in work.Z and sigmoid(P_k) in work.S.
 
     P_0 = X W_0^T + b_0, P_k = Z_{k-1} W_k^T + X U_k^T + b_k and f = Z_K w + X u + c.
-    Returns (f, Z, S); Z and S are work's arrays.
     """
     Z, S, P, E = work.Z, work.S, work.P, work.E
     for k, W in enumerate(theta.W):
@@ -168,16 +170,17 @@ def forward_layers(theta: ICNNParams, X, work: Work):
         if k:
             np.add(P[k], np.matmul(X, theta.U[k - 1].T, out=E[k]), out=P[k])
         softplus_sigmoid(np.add(P[k], theta.b[k], out=P[k]), Z[k], S[k], E[k])
-    return Z[-1] @ theta.w + X @ theta.u + theta.c, Z, S
+    return Z[-1] @ theta.w + X @ theta.u + theta.c
 
 
-def input_gradient(theta: ICNNParams, S, work: Work):
-    """grad_x f at each row, backpropagated by hand through the sigmoids S of forward_layers().
+def input_gradient(theta: ICNNParams, work: Work):
+    """grad_x f (m, n) at each row, backpropagated by hand through the sigmoids S that
+    forward_layers left in work.
 
     D[K-1] = w and D[j-1] = A[j] W_j are the adjoints of the activations, A[j] = S[j] * D[j]
-    those of the pre-activations. Returns (A, D, grad_f (m, n)); A and D[:-1] are work's arrays.
+    those of the pre-activations; A and D[:-1] are left in work.
     """
-    A, D = work.A, work.D + [theta.w]
+    S, A, D = work.S, work.A, work.D + [theta.w]
     grad = None
     for j in range(len(theta.W) - 1, -1, -1):
         np.multiply(S[j], D[j], out=A[j])
@@ -185,7 +188,19 @@ def input_gradient(theta: ICNNParams, S, work: Work):
         grad = term if grad is None else grad + term
         if j:
             np.matmul(A[j], theta.W[j], out=D[j - 1])
-    return A, D, grad + theta.u
+    return grad + theta.u
+
+
+def input_hessian(theta: ICNNParams, work: Work):
+    """Hessian of f (m, n, n) at each row, from the S and A that forward_layers and
+    input_gradient left in work (param_gradient overwrites them)."""
+    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations,
+    # (m, m_k, n) stacks; H_f = sum_k J_k^T diag(D_k S_k (1 - S_k)) J_k, where D_k S_k = A_k
+    H, S, A = 0.0, work.S, work.A
+    for k, W in enumerate(theta.W):
+        J = W if k == 0 else W @ (S[k - 1][..., None] * J) + theta.U[k - 1]
+        H = H + np.swapaxes(J, -1, -2) @ ((A[k] * (1.0 - S[k]))[..., None] * J)
+    return H
 
 
 def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad, out: ICNNParams = None) -> ICNNParams:
@@ -248,7 +263,7 @@ def forward(theta: ICNNParams, x):
     if x.ndim not in (1, 2) or x.shape[-1] != theta.n:
         raise DimensionError(f"forward: expected input of shape ({theta.n},) or (m, {theta.n}), got {x.shape}")
     X = np.atleast_2d(x)
-    f, _, _ = forward_layers(theta, X, Work(len(X), theta.widths))
+    f = forward_layers(theta, X, Work(len(X), theta.widths))
     return float(f[0]) if x.ndim == 1 else f
 
 
@@ -283,6 +298,8 @@ def from_json(text) -> ICNNParams:
         doc = json.loads(text)
         if doc.get("format") != "icnn-params" or doc.get("version") != 1:
             raise ConfigError("unrecognised parameter document")
+        if doc["activation"] != "softplus":  # the only activation forward_layers computes
+            raise ValueError(f"activation {doc['activation']!r} is not softplus")
         if not all(type(v) is int for v in [doc["n"], *doc["widths"]]):  # a float or a bool is no size
             raise TypeError(f"n and widths must be integers, got {doc['n']!r} and {doc['widths']!r}")
         arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}

@@ -22,7 +22,7 @@ FETCH_TIMEOUT_S = 30
 
 @dataclass(frozen=True)
 class PricePath:
-    """Strictly positive capitalisations, rows = trading days, columns = assets.
+    """Strictly positive, finite capitalisations, rows = trading days, columns = assets.
 
     dates are integer day indices for synthetic data, ISO-8601 strings for real data.
     """
@@ -41,9 +41,11 @@ class PricePath:
             raise DataError("tickers length does not match number of price columns")
         if not all(a < b for a, b in zip(self.dates, self.dates[1:])):
             raise DataError("dates must be strictly increasing")
-        if not np.all(p > 0):
-            r, c = np.argwhere(~(p > 0))[0]
-            raise DataError(f"non-positive price at date {self.dates[r]}, column {self.tickers[c]!r}")
+        bad = ~((p > 0) & np.isfinite(p))
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            kind = "non-positive" if p[r, c] <= 0 else "non-finite"
+            raise DataError(f"{kind} price at date {self.dates[r]}, column {self.tickers[c]!r}")
         object.__setattr__(self, "prices", p)
 
 
@@ -103,13 +105,21 @@ def gbm_simulate(cfg: GbmConfig) -> PricePath:
     increments = (drifts - 0.5 * vols**2) * cfg.dt + vols * np.sqrt(cfg.dt) * z
     log_prices = np.vstack([np.zeros(cfg.n_assets), increments]).cumsum(axis=0)  # prices start at 1
     tickers = [f"A{i}" for i in range(cfg.n_assets)]
-    return PricePath(list(range(cfg.n_days)), np.exp(log_prices), tickers)
+    with np.errstate(over="ignore"):  # an overflowed price is PricePath's DataError, not a warning
+        prices = np.exp(log_prices)
+    return PricePath(list(range(cfg.n_days)), prices, tickers)
 
 
 def normalize_to_weights(path: PricePath) -> MarketWeightPath:
     """Divide each price row by its total; floor at 1e-12 and renormalise, so a floored entry
-    ends at or just below the floor, never below 1e-12 / (1 + n * 1e-12)."""
-    w = path.prices / path.prices.sum(axis=1, keepdims=True)
+    ends at or just below the floor, never below 1e-12 / (1 + n * 1e-12). A row whose total
+    overflows float64 is a DataError naming its date."""
+    with np.errstate(over="ignore"):
+        total = path.prices.sum(axis=1, keepdims=True)
+    overflowed = np.flatnonzero(~np.isfinite(total))
+    if overflowed.size:
+        raise DataError(f"prices at date {path.dates[overflowed[0]]} sum past the float64 range")
+    w = path.prices / total
     if np.any(w < MARKET_WEIGHT_FLOOR):
         w = np.maximum(w, MARKET_WEIGHT_FLOOR)
         w = w / w.sum(axis=1, keepdims=True)

@@ -295,6 +295,11 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({"nul.cfg": "out = a\0b.csv\n"}, ["simulate", "--n", "3", "--days", "10", "--config", "{tmp}/nul.cfg"], 2),
         ({"nul.cfg": "out = a\0b\n"}, ["backtest", "--n", "2", "--days", "45", *FAST, "--config", "{tmp}/nul.cfg"], 2),
         ({"nul.cfg": "data = a\0b.csv\n"}, ["train", *FAST, "--config", "{tmp}/nul.cfg"], 2),
+        # a simulated price that overflows float64, and finite prices whose row sum does
+        ({}, ["simulate", "--n", "2", "--days", "1700000", "--seed", "1390", "--out", "{tmp}/p.csv"], 3),
+        ({"y.csv": "date,A,B,C\n" + "".join(f"{i},1e308,{5 + i % 3}e307,1e308\n" for i in range(80))},
+         ["backtest", "--data", "{tmp}/y.csv", "--train-days", "40", "--test-days", "10", "--widths", "6",
+          "--epochs", "5", "--out", "{tmp}/run"], 3),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
@@ -303,7 +308,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
-        "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data",
+        "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data", "simulated-price-overflows",
+        "price-row-sum-overflows",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):

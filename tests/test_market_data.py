@@ -74,6 +74,15 @@ def test_floored_weights_stay_in_the_open_simplex():
             md.MarketWeightPath([0, 1], np.array(bad), ["A", "B"])
 
 
+def test_normalize_row_sum_overflow_is_data_error():
+    # each price is finite, but row 1's total overflows float64; row 0's, at 1.7e308, does not
+    prices = np.array([[1e308, 6e307, 1e307], [1e308, 5e307, 1e308], [1.0, 2.0, 3.0]])
+    with pytest.raises(DataError, match="prices at date 1 sum past the float64 range"):
+        md.normalize_to_weights(md.PricePath([0, 1, 2], prices, list("abc")))
+    w = md.normalize_to_weights(md.PricePath([0, 2], prices[[0, 2]], list("abc"))).weights
+    np.testing.assert_array_equal(w[0], prices[0] / prices[0].sum())
+
+
 def test_normalize_scale_invariance():
     rng = np.random.default_rng(2)
     prices = rng.uniform(1.0, 10.0, (5, 4))
@@ -92,6 +101,24 @@ def test_price_path_invariants():
         md.PricePath([1, 0], np.ones((2, 2)), ["a", "b"])
     with pytest.raises(DataError):
         md.PricePath([0], np.ones((1, 2)), ["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "price,kind",
+    [(0.0, "non-positive"), (-1.0, "non-positive"), (-np.inf, "non-positive"), (np.inf, "non-finite"),
+     (np.nan, "non-finite")],
+)
+def test_price_path_names_a_bad_price(price, kind):
+    prices = np.array([[1.0, 1.0], [1.0, price], [np.inf, 0.0]])
+    with pytest.raises(DataError, match=f"^{kind} price at date 1, column 'b'$"):
+        md.PricePath([0, 1, 2], prices, ["a", "b"])
+
+
+def test_gbm_overflowing_price_is_data_error_without_a_warning():
+    # dt = 1e4 gives log-price steps in the thousands, so exp overflows to inf; a warning
+    # would be an error here too (pyproject's filterwarnings)
+    with pytest.raises(DataError, match="non-finite price at date 2, column 'A0'"):
+        md.gbm_simulate(md.GbmConfig(n_assets=2, n_days=3, dt=1e4, seed=0))
 
 
 CSV_CLEAN = """date,AAA,BBB

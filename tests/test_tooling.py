@@ -7,8 +7,11 @@ The benchmark's self-test also reads facts that only some calls produce: the
 tape size from the result of `training.build_loss`, and the JSON hand-over of
 theta between warm-started windows. A change that stops those calls must fail
 here too.
+
+One layering rule is checked on the source: only `icnn` reads a `Work` set's arrays.
 """
 
+import ast
 import concurrent.futures
 import importlib
 import importlib.util
@@ -34,6 +37,21 @@ def traced_names():
 def test_traced_function_resolves(name):
     layer, func = name.split(".")
     assert callable(getattr(importlib.import_module(f"neuralfgp.{layer}"), func, None)), name
+
+
+def test_only_icnn_reads_work_arrays():
+    # a Work array read off a `work` name or a `.work` attribute anywhere outside icnn
+    src = Path(icnn.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "icnn.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("Z", "S", "A", "D", "P", "E")
+        and (isinstance(node.value, ast.Name) and node.value.id == "work"
+             or isinstance(node.value, ast.Attribute) and node.value.attr == "work")
+    ]
+    assert reads == []
 
 
 def counting(monkeypatch, module, name):
