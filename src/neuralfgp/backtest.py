@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fgp, icnn
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, bounded, check_fields
 from .market_data import MarketWeightPath, read_csv, write_csv
 from .training import TrainConfig, train_window
 
@@ -56,22 +56,18 @@ def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
 
 @dataclass(frozen=True)
 class WalkForwardConfig:
-    train_days: int = 200
-    test_days: int = 20
+    train_days: int = bounded(200, 2)
+    test_days: int = bounded(20, 1)
     p_vals: tuple = (0.3, 0.5, 0.8)
     widths: tuple = (64, 64)
     train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
+    seed: int = bounded(0, 0)
     warm_start: bool = True  # each window starts from the previous window's trained theta
-    jobs: int = 1
+    jobs: int = bounded(1, 1)
 
     def __post_init__(self):
-        if self.train_days < 2:
-            raise ConfigError("train_days must be >= 2")
-        if self.test_days < 1:
-            raise ConfigError("test_days must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        check_fields(self)
+        icnn.check_widths(self.widths)
         if self.jobs > 1 and self.warm_start:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
         labels = [gen.label for gen in self.strategies()]  # fgp.Generator checks each p_vals entry
@@ -211,7 +207,7 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
-        raise DataError("relative_wealth needs at least 2 rows")
+        raise DataError("master_residual needs at least 2 rows")
     if not (W.min(initial=np.inf) > 0.0 and W.max(initial=0.0) < np.inf):  # a NaN fails both
         raise DataError("weights must be finite and positive")
     if gen.kind == "constant":

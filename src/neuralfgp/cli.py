@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import backtest, icnn, market_data, training
-from .errors import ConfigError, DataError, NeuralFgpError
+from .errors import ConfigError, DataError, NeuralFgpError, check, check_fields
 
 TRAIN_SEED_OFFSET = 1000
 
@@ -79,10 +79,8 @@ class RunConfig:
     svg: bool = setting(False, "--svg", boolean, "also write an SVG chart")
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.use_real and self.years < 1:
-            raise ConfigError("years (of history) must be >= 1 for real data")
+        check("seed", self.seed, 0)
+        check("years", self.years, 1)
 
 
 OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
@@ -172,7 +170,8 @@ def cmd_fetch(args):
 def cmd_train(args):
     cfg = build_run_config(args)
     out = cfg.out or "out"
-    train_cfg = backtest.WalkForwardConfig(train_days=cfg.train_days, train=_train_config(cfg)).train  # train_days >= 2
+    check_fields(backtest.WalkForwardConfig, train_days=cfg.train_days)  # before any data is read
+    train_cfg = _train_config(cfg)
     weights = _load_weights(cfg)
     needed = cfg.train_days + 1
     if len(weights) < needed:

@@ -5,7 +5,14 @@ one stderr line, and `exit_code`, the status cli.main returns. ConfigError is ex
 exit 3 and NumericError exit 4; DimensionError is a ConfigError. cli.main also reports a
 MemoryError, from sizes too large for this machine, with ConfigError's code, and any other
 OSError, such as an unwritable output path, with DataError's.
+
+Every numeric setting of the package is checked where it is constructed, by one rule: check()
+holds a value to its declared domain, and a dataclass declares a field's domain with bounded().
 """
+
+import dataclasses
+import math
+import numbers
 
 
 class NeuralFgpError(Exception):
@@ -35,3 +42,33 @@ class NumericError(NeuralFgpError):
 
 class DimensionError(ConfigError):
     """Shape mismatch between operands or parameters."""
+
+
+def check(name, value, low, kind=int, strict=False):
+    """value, if it lies in the domain of the setting name, else a ConfigError naming it.
+
+    An int setting takes an integer, numpy's included, and a float setting a real; neither
+    takes a bool. The value must lie in [low, inf), or in (low, inf) when strict, so NaN and
+    infinities fail.
+    """
+    number = not isinstance(value, bool) and isinstance(value, numbers.Integral if kind is int else numbers.Real)
+    if not (number and (low < value < math.inf if strict else low <= value < math.inf)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} {low}, got {value!r}")
+    return value
+
+
+def bounded(default, low, strict=False):
+    """A dataclass field whose domain for check() is [low, inf), or (low, inf) when strict, and
+    whose kind is its default's type, int or float."""
+    return dataclasses.field(default=default, metadata={"domain": (low, type(default), strict)})
+
+
+def check_fields(config, **values):
+    """check() each value against the domain that config, a dataclass or an instance of one,
+    declares for its bounded field of that name; values default to the instance's own fields,
+    so a config's __post_init__ calls check_fields(self)."""
+    values = values or vars(config)
+    for f in dataclasses.fields(config):
+        if "domain" in f.metadata and f.name in values:
+            check(f.name, values[f.name], *f.metadata["domain"])

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check
 
 
 Layout = namedtuple("Layout", "slots lower")
@@ -72,12 +72,11 @@ class ICNNParams:
         return list(self._views.items())
 
 
-def _validate_widths(n, widths):
-    if n < 2:
-        raise ConfigError("need at least 2 assets")
-    widths = tuple(int(m) for m in widths)
-    if not widths or any(m < 1 for m in widths):
-        raise ConfigError(f"widths must be positive, got {widths}")
+def check_widths(widths):
+    """widths as a tuple of Python ints, once check() has held each to >= 1; ConfigError if empty."""
+    widths = tuple(int(check("widths", m, 1)) for m in widths)
+    if not widths:
+        raise ConfigError("widths must name at least one layer")
     return widths
 
 
@@ -88,8 +87,8 @@ def init(n, widths, seed) -> ICNNParams:
     after a probe evaluation so that G = -f exceeds 1 at the uniform simplex
     point.
     """
-    widths = _validate_widths(n, widths)
-    rng = np.random.default_rng(seed)
+    n, widths = int(check("n", n, 2)), check_widths(widths)  # Python ints, as to_json writes them
+    rng = np.random.default_rng(check("seed", seed, 0))
     table = layout(n, widths)
     flat = np.zeros(table.lower.size)
     for name, (sl, shape) in table.slots.items():
@@ -110,8 +109,7 @@ def project_constraints(theta: ICNNParams) -> ICNNParams:
 def from_arrays(arrays, widths) -> ICNNParams:
     """Pack a name -> array mapping (see arrays()) into one vector, n being the length of u.
     DimensionError if an array's shape does not match layout(n, widths)."""
-    n = np.size(arrays["u"])
-    widths = _validate_widths(n, widths)
+    n, widths = check("n", np.size(arrays["u"]), 2), check_widths(widths)
     slots = layout(n, widths).slots
     for name, (_, shape) in slots.items():
         if np.shape(arrays[name]) != shape:
@@ -293,20 +291,21 @@ def to_json(theta: ICNNParams) -> str:
 
 
 def from_json(text) -> ICNNParams:
-    """Parse a to_json document; ConfigError if it is malformed."""
+    """Parse a to_json document; ConfigError if it is malformed, including an entry that is not
+    finite or a constrained weight below 0, which would make f non-convex."""
     try:
         doc = json.loads(text)
         if doc.get("format") != "icnn-params" or doc.get("version") != 1:
-            raise ConfigError("unrecognised parameter document")
+            raise ValueError("not a version-1 icnn-params document")
         if doc["activation"] != "softplus":  # the only activation forward_layers computes
             raise ValueError(f"activation {doc['activation']!r} is not softplus")
-        if not all(type(v) is int for v in [doc["n"], *doc["widths"]]):  # a float or a bool is no size
-            raise TypeError(f"n and widths must be integers, got {doc['n']!r} and {doc['widths']!r}")
         arrays = {name: _decode(rec["data"], tuple(rec["shape"])) for name, rec in doc["arrays"].items()}
-        theta = from_arrays(arrays, doc["widths"])
-        if theta.n != doc["n"]:
+        theta = from_arrays(arrays, doc["widths"])  # the widths, like n, are held to check()'s domain
+        if theta.n != check("n", doc["n"], 2):
             raise DimensionError(f"n is {doc['n']!r}, but u has length {theta.n}")
-    except (AttributeError, KeyError, TypeError, ValueError, DimensionError) as exc:
+        if not (np.isfinite(theta.flat).all() and (theta.flat >= layout(theta.n, theta.widths).lower).all()):
+            raise ValueError("an entry is not finite or breaks the convexity constraint")
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:  # DimensionError too
         raise ConfigError(f"malformed parameter document: {exc!r}") from None
     return theta
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, bounded, check_fields
 
 MARKET_WEIGHT_FLOOR = 1e-12  # market weights are floored here, then renormalised
 DRIFT_RANGE = (-0.05, 0.15)  # GBM drifts and volatilities are drawn uniformly from these
@@ -76,20 +76,15 @@ class MarketWeightPath:
 
 @dataclass(frozen=True)
 class GbmConfig:
-    n_assets: int = 5
-    n_days: int = 1000
-    dt: float = 1.0 / 252.0
-    seed: int = 0
+    n_assets: int = bounded(5, 2)
+    n_days: int = bounded(1000, 2)
+    dt: float = bounded(1.0 / 252.0, 0.0, strict=True)
+    seed: int = bounded(0, 0)
 
     def __post_init__(self):
-        if self.n_assets < 2:
-            raise ConfigError("n_assets must be >= 2")
-        if self.n_days < 2:
-            raise ConfigError("n_days must be >= 2")
-        if self.n_assets * self.n_days > np.iinfo(np.intp).max // 8:
+        check_fields(self)
+        if self.n_assets > np.iinfo(np.intp).max // 8 // self.n_days:  # a product of numpy ints could wrap
             raise ConfigError(f"{self.n_days} days x {self.n_assets} assets do not fit in one float64 array")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
 
 
 def gbm_simulate(cfg: GbmConfig) -> PricePath:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fgp, icnn
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, bounded, check_fields
 from .market_data import write_csv
 
 POS_MARGIN = 0.1  # hinge margin delta keeping G above it
@@ -30,17 +30,12 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lambda_l2: float = 0.3
-    learning_rate: float = 1e-3
-    epochs: int = 150
+    lambda_l2: float = bounded(0.3, 0.0)
+    learning_rate: float = bounded(1e-3, 0.0, strict=True)
+    epochs: int = bounded(150, 1)
 
     def __post_init__(self):
-        if not (np.isfinite(self.lambda_l2) and self.lambda_l2 >= 0):
-            raise ConfigError(f"lambda_l2 must be finite and >= 0, got {self.lambda_l2!r}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        check_fields(self)
 
 
 @dataclass

@@ -198,8 +198,8 @@ KINDS = [
 @pytest.mark.parametrize(
     "W,message",
     [
-        (np.array([[0.2, 0.3, 0.5]]), "at least 2 rows"),
-        (np.array([0.2, 0.3, 0.5]), "at least 2 rows"),
+        (np.array([[0.2, 0.3, 0.5]]), "master_residual needs at least 2 rows"),
+        (np.array([0.2, 0.3, 0.5]), "master_residual needs at least 2 rows"),
         (np.array([[0.2, 0.3, 0.5], [np.nan, 0.3, 0.5], [0.2, 0.3, 0.5]]), "finite and positive"),
     ],
     ids=["one-row", "1-d", "nan"],
@@ -573,5 +573,8 @@ def test_svg_output(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert text.count("<polyline") == len(report.labels)
+    # the extreme values sit 1/22 of the plot height inside the axes, whatever their spread
+    ys = [float(pt.split(",")[1]) for pts in re.findall(r'points="([^"]*)"', text) for pt in pts.split()]
+    assert max(ys) - min(ys) == pytest.approx((backtest.SVG_HEIGHT - 2 * 60) / 1.1, abs=0.02)
     assert backtest.write_svg(out, report) is None
     assert out.read_text() == text  # deterministic bytes

@@ -291,6 +291,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         # train checks train_days >= 2 as the walk-forward does, before any data is read
         ({}, ["train", "--n", "3", "--days", "30", "--train-days", "-5", "--epochs", "2", "--widths", "4"], 2),
         ({}, ["train", "--data", "{tmp}/missing.csv", "--train-days", "1"], 2),
+        # the walk-forward rejects a width below 1 before the data is read
+        ({}, ["backtest", "--data", "{tmp}/missing.csv", "--widths", "0"], 2),
         # a NUL byte, which no file name can hold, reaches a file name only from a config file
         ({"nul.cfg": "out = a\0b.csv\n"}, ["simulate", "--n", "3", "--days", "10", "--config", "{tmp}/nul.cfg"], 2),
         ({"nul.cfg": "out = a\0b\n"}, ["backtest", "--n", "2", "--days", "45", *FAST, "--config", "{tmp}/nul.cfg"], 2),
@@ -308,6 +310,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
+        "widths-zero-backtest",
         "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data", "simulated-price-overflows",
         "price-row-sum-overflows",
     ],

@@ -267,11 +267,22 @@ def test_from_json_malformed_document_is_config_error():
     bad_shape = {**good, "arrays": {**good["arrays"], "u": {**good["arrays"]["u"], "shape": [1, 3]}}}
     wrong_n = {**good, "n": 4}
     relu = {**good, "activation": "relu"}  # forward_layers computes softplus only
-    # sizes that int() would truncate or accept: a fractional width or n, and a boolean width
-    sizes = [{**good, "widths": [4.7, 4]}, {**good, "n": 3.9}, {**good, "widths": [True, 4]}]
-    for doc in (no_arrays, missing_w, bad_base64, bad_shape, wrong_n, relu, *sizes):
-        with pytest.raises(ConfigError):
-            icnn.from_json(json.dumps(doc))
-    for text in ("not json", "[]", '{"format": "icnn-params", "version": 2}'):
-        with pytest.raises(ConfigError):
+    # a complete document of another format or version
+    foreign = [{**good, "format": "other"}, {**good, "version": 2}]
+    # sizes that int() would truncate or accept: a fractional width or n, a float n and a boolean width
+    sizes = [{**good, "widths": [4.7, 4]}, {**good, "n": 3.9}, {**good, "n": 3.0}, {**good, "widths": [True, 4]}]
+    # entries that no trained theta holds: a NaN c, an infinite u, and a negative W1, which
+    # makes f non-convex and G not concave
+    entries = []
+    for name, value in [("c", np.nan), ("u", np.inf), ("W1", -1.0)]:
+        theta = icnn.init(3, (4, 4), seed=1)
+        theta[name][...] = value
+        entries.append(json.loads(icnn.to_json(theta)))
+    texts = [json.dumps(doc) for doc in (no_arrays, missing_w, bad_base64, bad_shape, wrong_n, relu, *foreign, *sizes, *entries)]
+    for text in texts + ["not json", "[]", '{"format": "icnn-params", "version": 2}']:
+        with pytest.raises(ConfigError, match="^malformed parameter document"):
             icnn.from_json(text)
+    # a constrained weight at its bound of 0, as the projection leaves it, is feasible
+    theta = icnn.init(3, (4, 4), seed=1)
+    theta["W1"][...] = 0.0
+    assert np.array_equal(icnn.from_json(icnn.to_json(theta)).flat, theta.flat)

@@ -162,6 +162,12 @@ def test_csv_forward_fill():
     assert path.prices[1, 0] == 10.0
 
 
+def test_csv_skips_rows_of_blank_fields():
+    text = "date,AAA,BBB\n2024-01-02,10,20\n\n , ,\n,,\n2024-01-03,11,21\n"
+    path = md.parse_prices_csv(text)
+    assert path.dates == ["2024-01-02", "2024-01-03"]
+
+
 def test_csv_leading_gap_dropped():
     text = "date,AAA,BBB\n2024-01-02,,20\n2024-01-03,11,21\n2024-01-04,12,22\n"
     path = md.parse_prices_csv(text)

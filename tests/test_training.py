@@ -189,7 +189,7 @@ def test_each_safety_net_passes_no_gradient_where_it_binds():
 def test_loss_gradients_non_finite_loss_is_numeric_error():
     theta = zero_params(n=2, widths=(2,), c=-5.0)
     window = np.array([[0.5, 0.5], [np.inf, 0.5]])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="loss is not finite"):
         training.loss_gradients(theta, window, training.TrainConfig())
 
 

@@ -1,8 +1,13 @@
-"""Mutation sweep: flip one comparison or one np.maximum/np.minimum call at a time and see which
-flips the test suite misses.
+"""Mutation sweep: change one check at a time and see which changes the test suite misses.
 
-Each mutant changes one site in fgp, icnn, training, backtest or market_data:
-`<` and `<=`, `>` and `>=`, `==` and `!=` swap, and `np.maximum` and `np.minimum` swap.
+Each mutant changes one site in errors, fgp, icnn, training, backtest or market_data, in one of
+four families:
+
+- a comparison flips: `<` and `<=`, `>` and `>=`, `==` and `!=` swap
+- `np.maximum` and `np.minimum` swap
+- an `np.isfinite(...)` or `math.isfinite(...)` call is forced true, as `(np.isfinite(...) | True)`
+- `and` and `or` swap, at every operator of one boolean expression
+
 The suite runs on each mutant with `-x`, its test files ordered fastest first (as timed on the
 unmutated tree), so most mutants die within seconds. A mutant that the suite passes survives
 and is listed at the end.
@@ -12,7 +17,7 @@ and is listed at the end.
 The sweep tests two mutants at a time, each in its own temporary copy of the repository, and
 never writes to the tree it is run from. Each copy runs the suite with OPENBLAS_NUM_THREADS=1,
 so the two do not oversubscribe the cores. It uses the standard library only and is not part
-of CI: on two cores the whole sweep (107 mutants) takes about 7 minutes.
+of CI: on two cores the whole sweep (137 mutants) takes about 7 minutes.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import ast
 import os
 import queue
+import re
 import shutil
 import subprocess
 import sys
@@ -29,11 +35,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("fgp", "icnn", "training", "backtest", "market_data")
+MODULES = ("errors", "fgp", "icnn", "training", "backtest", "market_data")
 JOBS = 2  # mutants tested at once, one suite each
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 SWAPS = {"maximum": "minimum", "minimum": "maximum"}
+BOOL_SWAPS = {ast.And: ("and", "or"), ast.Or: ("or", "and")}
 COPY_IGNORE = shutil.ignore_patterns(".git", ".work", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
 
 
@@ -43,9 +50,9 @@ def _offset(lines, lineno, col):
 
 
 def mutants(source: bytes):
-    """(description, mutated source) for every flippable site, in source order."""
+    """(description, mutated source) for every mutable site, in source order."""
     lines = source.splitlines(keepends=True)
-    sites = []
+    sites = []  # (offset of the first edit, line, description, [(start, stop, replacement bytes)])
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
             left = node.left
@@ -55,21 +62,31 @@ def mutants(source: bytes):
                     start = _offset(lines, left.end_lineno, left.end_col_offset)
                     gap = source[start : _offset(lines, right.lineno, right.col_offset)]
                     at = start + gap.index(old.encode())  # only brackets and blanks surround the operator
-                    sites.append((at, node.lineno, old, new))
+                    sites.append((at, node.lineno, f"{old} -> {new}", [(at, at + len(old), new.encode())]))
                 left = right
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in SWAPS
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "np"
-        ):
-            old = node.func.attr
-            at = _offset(lines, node.func.end_lineno, node.func.end_col_offset) - len(old)
-            sites.append((at, node.lineno, f"np.{old}", f"np.{SWAPS[old]}"))
-    for at, lineno, old, new in sorted(sites):
-        bare_old, bare_new = old.removeprefix("np."), new.removeprefix("np.")
-        yield f"line {lineno}: {old} -> {new}", source[:at] + bare_new.encode() + source[at + len(bare_old) :]
+        elif isinstance(node, ast.BoolOp):
+            old, new = BOOL_SWAPS[type(node.op)]
+            edits = []
+            for left, right in zip(node.values, node.values[1:]):
+                start = _offset(lines, left.end_lineno, left.end_col_offset)
+                gap = source[start : _offset(lines, right.lineno, right.col_offset)]
+                at = start + re.search(rb"\b%s\b" % old.encode(), gap).start()  # brackets and blanks around it
+                edits.append((at, at + len(old), new.encode()))
+            sites.append((edits[0][0], node.lineno, f"{old} -> {new}", edits))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            module, name = node.func.value.id, node.func.attr
+            if module == "np" and name in SWAPS:
+                at = _offset(lines, node.func.end_lineno, node.func.end_col_offset) - len(name)
+                sites.append((at, node.lineno, f"np.{name} -> np.{SWAPS[name]}", [(at, at + len(name), SWAPS[name].encode())]))
+            elif module in ("np", "math") and name == "isfinite":
+                start = _offset(lines, node.lineno, node.col_offset)
+                stop = _offset(lines, node.end_lineno, node.end_col_offset)
+                sites.append((start, node.lineno, f"{module}.isfinite -> True", [(start, start, b"("), (stop, stop, b" | True)")]))
+    for _, lineno, description, edits in sorted(sites):
+        mutated = source
+        for start, stop, new in sorted(edits, reverse=True):  # the last edit first keeps the offsets valid
+            mutated = mutated[:start] + new + mutated[stop:]
+        yield f"line {lineno}: {description}", mutated
 
 
 def run_suite(workdir, test_files, timeout):
