@@ -208,8 +208,7 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise DataError("master_residual needs at least 2 rows")
-    if not (W.min(initial=np.inf) > 0.0 and W.max(initial=0.0) < np.inf):  # a NaN fails both
-        raise DataError("weights must be finite and positive")
+    fgp.check_positive(W)
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
     weights_fn, hessian = lambda x: fgp.weights(gen, x), lambda X: fgp.generator_hessian(gen, X)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from . import backtest, icnn, market_data, training
-from .errors import ConfigError, DataError, NeuralFgpError, check, check_fields
+from .errors import ConfigError, DataError, NeuralFgpError, check
 
 TRAIN_SEED_OFFSET = 1000
 
@@ -51,7 +51,12 @@ def setting(default, flag, parse, help):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's settings; GbmConfig, TrainConfig and WalkForwardConfig own their defaults and checks."""
+    """One run's settings; GbmConfig, TrainConfig and WalkForwardConfig own their defaults and checks.
+
+    Construction builds the simulation's GbmConfig as gbm and the walk-forward's WalkForwardConfig,
+    with its TrainConfig, as walk, so every setting is checked before a command reads or writes a
+    file. They are plain attributes, not fields: every field is a flag.
+    """
 
     use_real: bool = setting(False, "--use-real", boolean, "read the last 252 * years rows of --data")
     n: int = setting(market_data.GbmConfig.n_assets, "--n", int, "number of assets")
@@ -79,8 +84,18 @@ class RunConfig:
     svg: bool = setting(False, "--svg", boolean, "also write an SVG chart")
 
     def __post_init__(self):
-        check("seed", self.seed, 0)
         check("years", self.years, 1)
+        if self.use_real and not self.data:
+            raise ConfigError("use_real requires --data (a price CSV); live fetching is opt-in via `fetch`")
+        # GbmConfig checks seed before the walk-forward's seed adds the offset to it
+        gbm = market_data.GbmConfig(n_assets=self.n, n_days=self.days, seed=self.seed)
+        train = training.TrainConfig(lambda_l2=self.lam, learning_rate=self.lr, epochs=self.epochs)
+        walk = backtest.WalkForwardConfig(
+            train_days=self.train_days, test_days=self.test_days, p_vals=self.p_vals, widths=self.widths,
+            train=train, seed=self.seed + TRAIN_SEED_OFFSET, warm_start=self.warm_start, jobs=self.jobs,
+        )
+        object.__setattr__(self, "gbm", gbm)
+        object.__setattr__(self, "walk", walk)
 
 
 OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
@@ -118,16 +133,10 @@ def build_run_config(args):
     return RunConfig(**values)
 
 
-def _simulate(cfg: RunConfig):
-    return market_data.gbm_simulate(market_data.GbmConfig(n_assets=cfg.n, n_days=cfg.days, seed=cfg.seed))
-
-
 def _load_weights(cfg: RunConfig):
     """Market weights from the configured source (CSV or seeded GBM)."""
-    if not (cfg.use_real or cfg.data):
-        return market_data.normalize_to_weights(_simulate(cfg))
     if not cfg.data:
-        raise ConfigError("use_real requires --data (a price CSV); live fetching is opt-in via `fetch`")
+        return market_data.normalize_to_weights(market_data.gbm_simulate(cfg.gbm))
     prices = market_data.load_prices_csv(cfg.data)
     if cfg.use_real:  # the last 252 * years rows, or the whole file if it is shorter
         rows = 252 * cfg.years
@@ -135,26 +144,9 @@ def _load_weights(cfg: RunConfig):
     return market_data.normalize_to_weights(prices)
 
 
-def _train_config(cfg: RunConfig):
-    return training.TrainConfig(lambda_l2=cfg.lam, learning_rate=cfg.lr, epochs=cfg.epochs)
-
-
-def _walk_config(cfg: RunConfig):
-    return backtest.WalkForwardConfig(
-        train_days=cfg.train_days,
-        test_days=cfg.test_days,
-        p_vals=cfg.p_vals,
-        widths=cfg.widths,
-        train=_train_config(cfg),
-        seed=cfg.seed + TRAIN_SEED_OFFSET,
-        warm_start=cfg.warm_start,
-        jobs=cfg.jobs,
-    )
-
-
 def cmd_simulate(args):
     cfg = build_run_config(args)
-    prices = _simulate(cfg)
+    prices = market_data.gbm_simulate(cfg.gbm)
     out = cfg.out or "prices.csv"
     market_data.write_prices_csv(out, prices)
     print(f"wrote {prices.prices.shape[0]} days x {prices.prices.shape[1]} assets (seed {cfg.seed}) to {out}")
@@ -170,15 +162,13 @@ def cmd_fetch(args):
 def cmd_train(args):
     cfg = build_run_config(args)
     out = cfg.out or "out"
-    check_fields(backtest.WalkForwardConfig, train_days=cfg.train_days)  # before any data is read
-    train_cfg = _train_config(cfg)
     weights = _load_weights(cfg)
     needed = cfg.train_days + 1
     if len(weights) < needed:
         raise DataError(f"training needs {needed} rows, data has {len(weights)}")
     window = weights.weights[:needed]
-    theta0 = icnn.init(weights.n_assets, cfg.widths, seed=cfg.seed + TRAIN_SEED_OFFSET)
-    theta, log_rows = training.train_window(theta0, window, train_cfg)
+    theta0 = icnn.init(weights.n_assets, cfg.walk.widths, seed=cfg.walk.seed)
+    theta, log_rows = training.train_window(theta0, window, cfg.walk.train)
     os.makedirs(out, exist_ok=True)
     icnn.save(theta, os.path.join(out, "theta.json"))
     training.write_training_log(os.path.join(out, "training_log.csv"), log_rows)
@@ -191,8 +181,7 @@ def cmd_train(args):
 def cmd_backtest(args):
     cfg = build_run_config(args)
     out = cfg.out or "out"
-    walk_cfg = _walk_config(cfg)
-    report = backtest.walk_forward(_load_weights(cfg), walk_cfg)
+    report = backtest.walk_forward(_load_weights(cfg), cfg.walk)
     os.makedirs(out, exist_ok=True)
     backtest.write_window_csv(os.path.join(out, "windows.csv"), report)
     backtest.write_summary_csv(os.path.join(out, "summary.csv"), report)

@@ -64,11 +64,9 @@ def bounded(default, low, strict=False):
     return dataclasses.field(default=default, metadata={"domain": (low, type(default), strict)})
 
 
-def check_fields(config, **values):
-    """check() each value against the domain that config, a dataclass or an instance of one,
-    declares for its bounded field of that name; values default to the instance's own fields,
-    so a config's __post_init__ calls check_fields(self)."""
-    values = values or vars(config)
+def check_fields(config):
+    """check() each bounded field of config, a dataclass instance, against its declared domain;
+    a config's __post_init__ calls check_fields(self)."""
     for f in dataclasses.fields(config):
-        if "domain" in f.metadata and f.name in values:
-            check(f.name, values[f.name], *f.metadata["domain"])
+        if "domain" in f.metadata:
+            check(f.name, getattr(config, f.name), *f.metadata["domain"])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import icnn
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 
 G_FLOOR = 1e-8  # the neural G is read as max(G, G_FLOOR)
 GRAD_CLIP = 10.0  # componentwise cap on grad log G for the neural map
@@ -97,17 +97,26 @@ def raw_fgp_weights(grad_log_g, x) -> np.ndarray:
     return (g + (1.0 - np.sum(x * g, axis=-1, keepdims=True))) * x
 
 
+def check_positive(x):
+    """x, if every entry is finite and > 0, else a DataError."""
+    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):  # a NaN fails both
+        raise DataError("weights must be finite and positive")
+    return x
+
+
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
-    """Closed-form weights for the non-neural generators."""
+    """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
+    point with an entry that is not finite and positive (check_positive), where x**p or log x
+    would warn."""
     x = np.asarray(x, dtype=np.float64)
     if gen.kind == "constant":
         w = x
     elif gen.kind == "equal":
         w = np.ones_like(x)
     elif gen.kind == "diversity":
-        w = x**gen.p
+        w = check_positive(x) ** gen.p
     elif gen.kind == "entropy":
-        w = -x * np.log(x)
+        w = -x * np.log(check_positive(x))
     else:
         raise ConfigError("classical_weights does not handle the neural generator")
     return PortfolioWeights(w / w.sum(axis=-1, keepdims=True))

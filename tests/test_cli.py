@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralfgp import cli, icnn, market_data as md
+from neuralfgp import backtest, cli, icnn, market_data as md
 from neuralfgp.backtest import read_summary_csv
 from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
 
@@ -151,6 +151,17 @@ def test_train_saved_params_reload_identically(tmp_path):
     b = icnn.load(out / "theta.json")
     x = np.array([0.4, 0.6])
     assert -icnn.forward(a, x) == -icnn.forward(b, x)
+
+
+def test_train_trains_window_0_of_the_same_backtest(tmp_path):
+    # one seed offset: train's theta.json is the theta that a backtest's window 0 hands over
+    argv = ["--n", "2", "--days", "60", "--seed", "3", *FAST]
+    assert run(["train", *argv, "--out", str(tmp_path)]) == 0
+    cfg = cli.build_run_config(cli.build_parser().parse_args(["backtest", *argv]))
+    W, walk = cli._load_weights(cfg).weights, cfg.walk
+    test_end = walk.train_days + walk.test_days
+    _, theta_json = backtest._run_window((W[: walk.train_days + 1], W[walk.train_days : test_end + 1], walk, 0, None))
+    assert (tmp_path / "theta.json").read_text(encoding="utf-8") == theta_json
 
 
 def test_train_insufficient_data_is_data_error(tmp_path, capsys):
@@ -293,6 +304,11 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({}, ["train", "--data", "{tmp}/missing.csv", "--train-days", "1"], 2),
         # the walk-forward rejects a width below 1 before the data is read
         ({}, ["backtest", "--data", "{tmp}/missing.csv", "--widths", "0"], 2),
+        # every command checks every common flag when it builds its run config, before any file is touched
+        ({}, ["train", "--data", "{tmp}/missing.csv", "--widths", "4,0"], 2),
+        ({}, ["train", "--data", "{tmp}/missing.csv", "--test-days", "0"], 2),
+        ({}, ["simulate", "--p-vals", "1.5", "--out", "{tmp}/p.csv"], 2),
+        ({}, ["simulate", "--use-real"], 2),
         # a NUL byte, which no file name can hold, reaches a file name only from a config file
         ({"nul.cfg": "out = a\0b.csv\n"}, ["simulate", "--n", "3", "--days", "10", "--config", "{tmp}/nul.cfg"], 2),
         ({"nul.cfg": "out = a\0b\n"}, ["backtest", "--n", "2", "--days", "45", *FAST, "--config", "{tmp}/nul.cfg"], 2),
@@ -310,7 +326,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",
-        "widths-zero-backtest",
+        "widths-zero-backtest", "widths-zero-train", "test-days-zero-train", "p-vals-out-of-range-simulate",
+        "use-real-simulate",
         "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data", "simulated-price-overflows",
         "price-row-sum-overflows",
     ],
@@ -329,6 +346,8 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+    if code == 2:  # a configuration error ends the run before it writes a file
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(files)
 
 
 def test_importing_cli_loads_no_process_pool():

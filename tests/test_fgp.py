@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neuralfgp import autodiff as ad
 from neuralfgp import backtest, fgp, icnn, training
-from neuralfgp.errors import ConfigError, NumericError
+from neuralfgp.errors import ConfigError, DataError, NumericError
 from test_icnn import with_arrays, zero_params
 
 
@@ -105,6 +105,14 @@ def test_entropy_uniform_point_gives_uniform_weights():
 def test_constant_generator_is_market():
     x = np.array([0.2, 0.8])
     np.testing.assert_allclose(fgp.classical_weights(fgp.Generator("constant"), x).pi, x, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")  # the check comes before x**p or log x could warn
+@pytest.mark.parametrize("gen", [fgp.Generator("entropy"), fgp.Generator("diversity", p=0.5)], ids=lambda g: g.label)
+@pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
+def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
+    with pytest.raises(DataError, match="finite and positive"):
+        fgp.weights(gen, [[0.5, 0.5], [value, 1.0 - value]])
 
 
 def test_diversity_exponent_validation():

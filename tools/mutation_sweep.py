@@ -1,7 +1,7 @@
 """Mutation sweep: change one check at a time and see which changes the test suite misses.
 
-Each mutant changes one site in errors, fgp, icnn, training, backtest or market_data, in one of
-four families:
+Each mutant changes one site in errors, fgp, icnn, training, backtest, market_data or cli, in one
+of four families:
 
 - a comparison flips: `<` and `<=`, `>` and `>=`, `==` and `!=` swap
 - `np.maximum` and `np.minimum` swap
@@ -17,7 +17,7 @@ and is listed at the end.
 The sweep tests two mutants at a time, each in its own temporary copy of the repository, and
 never writes to the tree it is run from. Each copy runs the suite with OPENBLAS_NUM_THREADS=1,
 so the two do not oversubscribe the cores. It uses the standard library only and is not part
-of CI: on two cores the whole sweep (137 mutants) takes about 7 minutes.
+of CI: on two cores the whole sweep (143 mutants) takes about 7 minutes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("errors", "fgp", "icnn", "training", "backtest", "market_data")
+MODULES = ("errors", "fgp", "icnn", "training", "backtest", "market_data", "cli")
 JOBS = 2  # mutants tested at once, one suite each
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
