@@ -203,7 +203,8 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
     left endpoint, d_tau the realized covariation increment of the step. The
     constant generator is exact: V is identically 1 and both terms vanish. A neural generator's
-    weights and Hessian share one fgp.neural_map of rows 0..T-1; G keeps its own (T+1)-row pass.
+    weights, G and Hessian come from one fgp.neural_map of all T+1 rows, so the ICNN runs once;
+    its weights and Hessian at row T go unused.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
@@ -211,17 +212,19 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     fgp.check_positive(W)
     if gen.kind == "constant":
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
-    weights_fn, hessian = lambda x: fgp.weights(gen, x), lambda X: fgp.generator_hessian(gen, X)
     if gen.kind == "neural":
-        nm = fgp.neural_map(gen.theta, W[:-1])
-        weights_fn, hessian = lambda x: fgp.PortfolioWeights(nm.pi), lambda X: fgp.neural_hessian(gen.theta, nm)
+        nm = fgp.neural_map(gen.theta, W)
+        weights_fn = lambda x: fgp.PortfolioWeights(nm.pi[:-1])
+        G, H = nm.G_col.reshape(-1), fgp.neural_hessian(gen.theta, nm)[:-1]
+    else:
+        weights_fn = lambda x: fgp.weights(gen, x)
+        G, H = fgp.generator_value(gen, W), fgp.generator_hessian(gen, W[:-1])
     log_v = float(np.log(relative_wealth(weights_fn, W).terminal))
-    G = fgp.generator_value(gen, W)
     log_g_ratio = float(np.log(G[-1] / G[0]))
 
     log_w = np.log(W)
     x_dlog = W[:-1] * (log_w[1:] - log_w[:-1])
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], hessian(W[:-1]), x_dlog, x_dlog))
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], H, x_dlog, x_dlog))
     residual = log_v - log_g_ratio - drift
     if not np.isfinite(residual):
         raise NumericError("master decomposition produced a non-finite residual")

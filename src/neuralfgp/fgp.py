@@ -163,21 +163,24 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
         return np.zeros(x.shape + (n,))
     if gen.kind == "neural":
         return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(x.shape + (n,))
-    # the classical kinds write the diagonal of each (n, n) block through its einsum view
-    if gen.kind == "equal":
-        G = np.expand_dims(generator_value(gen, x), -1)
-        H = G[..., None] / (n * n * (x[..., :, None] * x[..., None, :]))
-        np.einsum("...ii->...i", H)[...] = G * (1.0 - n) / (n * n * x * x)
-    elif gen.kind == "diversity":
-        p = gen.p
-        S = np.sum(x**p, axis=-1, keepdims=True)
-        xp1 = x ** (p - 1.0)
-        H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
-        diag = np.einsum("...ii->...i", H)
-        diag += (p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0)
-    else:  # entropy
-        H = np.zeros(x.shape + (n,))
-        np.einsum("...ii->...i", H)[...] = -1.0 / x
+    # the classical kinds write the diagonal of each (n, n) block through its einsum view. A tiny
+    # weight can take an entry past the float64 range without a warning: the caller sees the inf
+    # or NaN (master_residual raises NumericError on it)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if gen.kind == "equal":
+            G = np.expand_dims(generator_value(gen, x), -1)
+            H = G[..., None] / (n * n * (x[..., :, None] * x[..., None, :]))
+            np.einsum("...ii->...i", H)[...] = G * (1.0 - n) / (n * n * x * x)
+        elif gen.kind == "diversity":
+            p = gen.p
+            S = np.sum(x**p, axis=-1, keepdims=True)
+            xp1 = x ** (p - 1.0)
+            H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
+            diag = np.einsum("...ii->...i", H)
+            diag += (p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0)
+        else:  # entropy
+            H = np.zeros(x.shape + (n,))
+            np.einsum("...ii->...i", H)[...] = -1.0 / x
     return H
 
 

@@ -176,10 +176,11 @@ def _parse_prices(reader, name):
     if len({type(d) for d in dates}) > 1:
         raise DataError(f"{name}: dates mix integer day indices and date strings")
 
-    # forward-fill, then drop the leading rows that still have gaps: every later row is complete
-    for i in range(1, prices.shape[0]):
-        gap = np.isnan(prices[i])
-        prices[i, gap] = prices[i - 1, gap]
+    # forward-fill each cell from the last row at or above it that has a value in its column (row
+    # 0, still a gap, when none has), then drop the leading rows that still have gaps: every later
+    # row is complete
+    last = np.where(np.isnan(prices), 0, np.arange(prices.shape[0])[:, None])
+    prices = prices[np.maximum.accumulate(last, axis=0), np.arange(prices.shape[1])]
     keep = ~np.isnan(prices).any(axis=1)
     first = int(np.argmax(keep)) if keep.any() else len(keep)
     prices, dates = prices[first:], dates[first:]

@@ -217,6 +217,17 @@ def test_master_residual_rejects_a_zero_or_infinite_weight(gen, value):
         backtest.master_residual(gen, path_with(3, [value, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("gen", [fgp.Generator("equal")] + [fgp.Generator("diversity", p=p) for p in (0.3, 0.5, 0.8)],
+                         ids=lambda gen: gen.label)
+def test_master_residual_of_a_tiny_weight_is_a_numeric_error(gen):
+    # a weight of 1e-300 passes check_positive, but x_i x_j underflows to 0 in the equal-weight
+    # Hessian and x_i^(p-2) overflows in the diversity one: the caller gets NumericError for the
+    # non-finite drift, not a numpy warning from inside generator_hessian
+    W = np.array([[0.5, 0.5, 1e-300], [0.4, 0.3, 0.3], [0.5, 0.5, 1e-300]])
+    with pytest.raises(NumericError, match="non-finite residual"):
+        backtest.master_residual(gen, W)
+
+
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("entropy")])
 def test_master_residual_shrinks_with_step(gen):
     # one fine trajectory per seed, observed at three resolutions: the
@@ -233,22 +244,23 @@ def test_master_residual_shrinks_with_step(gen):
 
 
 def split_from_public_maps(gen, W):
-    """The decomposition as the public maps give it: weights and G from their own calls, the
-    Hessian from generator_hessian over rows 0..T-1."""
-    log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.neural_weights(gen.theta, x), W).terminal))
+    """The decomposition as the public maps give it, each over all T+1 rows: the weights and the
+    Hessian at rows 0..T-1, and G."""
+    pi = fgp.neural_weights(gen.theta, W).pi[:-1]
+    log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
     G = fgp.generator_value(gen, W)
     log_g_ratio = float(np.log(G[-1] / G[0]))
     x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W[:-1]), x_dlog, x_dlog))
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W)[:-1], x_dlog, x_dlog))
     return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
 
 
 @pytest.mark.parametrize("widths", [(8,), (16, 8, 4), (64, 64)])
 @pytest.mark.parametrize("n", [3, 5])
 def test_neural_master_residual_matches_the_public_maps_bit_for_bit(widths, n):
-    # master_residual takes the weights and the Hessian from one neural_map of rows 0..T-1, and G
-    # from its own pass over all T+1 rows: a 1-row pass for G[T], or one (T+1)-row map, would
-    # change bits, since the gemm result depends on the row count
+    # master_residual takes the weights, G and the Hessian from one neural_map of all T+1 rows: a
+    # map of rows 0..T-1 for the weights would change bits, since the gemm result depends on the
+    # row count
     gen = fgp.Generator("neural", theta=icnn.init(n, widths, seed=n))
     for T in (1, 7, 20, 200):
         W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights

@@ -238,13 +238,17 @@ def jacobian_recursion_hessian(theta, x):
 
 @pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
 def test_neural_hessian_matches_jacobian_recursion(widths):
+    # input_hessian stacks the m rows' n-row Jacobians into one gemm operand of m n rows, so the
+    # batch runs over 1, 6 and 21 rows and n over 2 and 4 against the per-row recursion
     rng = np.random.default_rng(32)
-    theta = icnn.init(4, widths, seed=13)
-    theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
-    gen = fgp.Generator("neural", theta=theta)
-    X = random_simplex(rng, 4, 6)
-    ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
-    assert np.abs(fgp.generator_hessian(gen, X) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for n in (2, 4):
+        theta = icnn.init(n, widths, seed=13)
+        theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
+        gen = fgp.Generator("neural", theta=theta)
+        for rows in (1, 6, 21):
+            X = random_simplex(rng, n, rows)
+            ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
+            assert np.abs(fgp.generator_hessian(gen, X) - ref).max() <= 1e-12 * np.abs(ref).max(), (n, rows)
 
 
 @pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])

@@ -160,6 +160,21 @@ def test_csv_forward_fill():
     text = "date,AAA,BBB\n2024-01-02,10,20\n2024-01-03,,21\n2024-01-04,12,22\n"
     path = md.parse_prices_csv(text)
     assert path.prices[1, 0] == 10.0
+    cases = [
+        # consecutive gaps in one column all take the last value above them
+        ("date,AAA,BBB\n1,10,20\n2,,21\n3,,22\n4,,23\n5,14,24\n",
+         [1, 2, 3, 4, 5], [[10, 20], [10, 21], [10, 22], [10, 23], [14, 24]]),
+        # gaps in two columns of one row, each filled from its own column
+        ("date,AAA,BBB,CCC\n1,10,20,30\n2,,,31\n3,12,22,\n",
+         [1, 2, 3], [[10, 20, 30], [10, 20, 31], [12, 22, 31]]),
+        # the first complete row is complete only through a fill from the leading row it drops
+        ("date,AAA,BBB\n1,,20\n2,11,\n3,12,22\n",
+         [2, 3], [[11, 20], [12, 22]]),
+    ]
+    for text, dates, prices in cases:
+        path = md.parse_prices_csv(text)
+        assert path.dates == dates
+        assert path.prices.tobytes() == np.array(prices, dtype=np.float64).tobytes(), text
 
 
 def test_csv_skips_rows_of_blank_fields():

@@ -128,16 +128,15 @@ def test_walk_forward_without_warm_start_makes_no_json(monkeypatch, jobs):
     assert to_json == []
 
 
-def test_neural_master_residual_runs_the_icnn_twice(monkeypatch):
-    # one neural_map of rows 0..T-1 serves the weights and the Hessian; generator_value's
-    # icnn.forward over all T+1 rows is the second pass
+def test_neural_master_residual_runs_the_icnn_once(monkeypatch):
+    # one neural_map of all T+1 rows serves the weights, G and the Hessian
     gen = fgp.Generator("neural", theta=icnn.init(3, (4, 4), seed=0))
     W = np.random.default_rng(0).dirichlet(np.ones(3), 21)
     layers = counting(monkeypatch, icnn, "forward_layers")
     gradients = counting(monkeypatch, icnn, "input_gradient")
     works = counting(monkeypatch, icnn, "Work")
     backtest.master_residual(gen, W)
-    assert (len(layers), len(gradients), len(works)) == (2, 1, 2)
+    assert (len(layers), len(gradients), len(works)) == (1, 1, 1)
 
 
 def blas_threads():
