@@ -108,7 +108,8 @@ def window_count(n_rows, train_days=WalkForwardConfig.train_days, test_days=Walk
 def _run_window(args):
     """Train and evaluate one window; returns (terminals, trained theta as JSON, or None without warm start).
 
-    theta0_json None trains from a fresh init seeded by the window index.
+    theta0_json None trains from a fresh init seeded by the window index. The slices are only
+    read, never written: walk_forward hands them over as views of the path.
     Top-level so process pools can pickle it.
     """
     train_slice, test_slice, cfg, window_index, theta0_json = args
@@ -150,7 +151,10 @@ def _one_blas_thread():
 
 
 def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardReport:
-    """Roll the train/test window over the path; every strategy sees the same slices."""
+    """Roll the train/test window over the path; every strategy sees the same slices.
+
+    Each window gets row-slice views of path.weights, not copies: _run_window only reads its
+    slices, and a view pickles only its own rows for a --jobs worker."""
     W = path.weights
     K = window_count(W.shape[0], cfg.train_days, cfg.test_days)
     boundaries = []
@@ -161,7 +165,7 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
         test_end = test_start + cfg.test_days
         boundaries.append((start, test_start, test_end))
         # test slice includes its left edge so the first test ratio is defined
-        jobs_args.append((W[start : test_start + 1].copy(), W[test_start : test_end + 1].copy(), cfg, k))
+        jobs_args.append((W[start : test_start + 1], W[test_start : test_end + 1], cfg, k))
 
     if cfg.jobs == 1:
         results = []

@@ -104,6 +104,13 @@ def check_positive(x):
     return x
 
 
+def _point(gen: Generator, x):
+    """x as float64, checked by check_positive when gen's closed form reads x (equal, diversity
+    and entropy), where x**a, log x or 1/x would warn or mean nothing."""
+    x = np.asarray(x, dtype=np.float64)
+    return check_positive(x) if gen.kind in ("equal", "diversity", "entropy") else x
+
+
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
     """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
     point with an entry that is not finite and positive (check_positive), where x**p or log x
@@ -123,8 +130,9 @@ def classical_weights(gen: Generator, x) -> PortfolioWeights:
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
-    """grad_x log G for the closed-form generators (used for equivalence tests)."""
-    x = np.asarray(x, dtype=np.float64)
+    """grad_x log G for the closed-form generators (used for equivalence tests). The equal,
+    diversity and entropy kinds reject a point with an entry that is not finite and positive."""
+    x = _point(gen, x)
     if gen.kind == "constant":
         return np.zeros_like(x)
     if gen.kind == "equal":
@@ -139,8 +147,9 @@ def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
 
 def generator_value(gen: Generator, x):
     """G(x) for a generator (neural value is clamped at the log floor): a float
-    for a point (n,), an (m,) array for a batch (m, n)."""
-    x = np.asarray(x, dtype=np.float64)
+    for a point (n,), an (m,) array for a batch (m, n). The equal, diversity and entropy kinds
+    reject a point with an entry that is not finite and positive."""
+    x = _point(gen, x)
     if gen.kind == "constant":
         G = np.ones(x.shape[:-1])
     elif gen.kind == "equal":
@@ -156,8 +165,10 @@ def generator_value(gen: Generator, x):
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators; exact for the neural one, by neural_hessian over a neural_map of the rows."""
-    x = np.asarray(x, dtype=np.float64)
+    generators; exact for the neural one, by neural_hessian over a neural_map of the rows. The
+    equal, diversity and entropy kinds reject a point with an entry that is not finite and
+    positive."""
+    x = _point(gen, x)
     n = x.shape[-1]
     if gen.kind == "constant":
         return np.zeros(x.shape + (n,))

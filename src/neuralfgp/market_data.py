@@ -52,7 +52,7 @@ class PricePath:
 @dataclass(frozen=True)
 class MarketWeightPath:
     """Rows live in the open unit simplex (entries > 0, sums within 1e-12 of 1); same index
-    as the source PricePath."""
+    as the source PricePath, with at least 2 assets."""
 
     dates: list
     weights: np.ndarray
@@ -60,6 +60,12 @@ class MarketWeightPath:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] < 2:
+            raise DataError(f"weight matrix must be 2-D with at least 2 columns, got shape {w.shape}")
+        if len(self.dates) != w.shape[0]:
+            raise DataError("dates length does not match number of weight rows")
+        if len(self.tickers) != w.shape[1]:
+            raise DataError("tickers length does not match number of weight columns")
         if not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise DataError("weight rows must sum to 1 within 1e-12")
         if not np.all(w > 0):

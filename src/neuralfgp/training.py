@@ -209,7 +209,10 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
 
     The window owns every parameter-sized buffer, so an epoch builds none: the gradient, the
     iterate, which the first step fills from theta0 and every later step updates in place, and
-    the best iterate, copied in whenever the loss improves. theta0 is not written.
+    the best iterate, copied in whenever the loss improves. theta0 is not written. The epochs'
+    buffers (the Work set, the gradient and the AdamState) are freed after the last step, before
+    the tape builds the final iterate's loss, so a window's peak memory is the larger of the two
+    footprints, not their sum.
     """
     window = _window(window_weights)
     grads, iterate, best = (icnn.ICNNParams(np.empty_like(theta0.flat), theta0.n, theta0.widths) for _ in range(3))
@@ -224,6 +227,7 @@ def train_window(theta0: icnn.ICNNParams, window_weights, cfg: TrainConfig):
             best_loss = parts.total
             np.copyto(best.flat, theta.flat)
         theta, state = adam_step(theta, grads, state, cfg, iterate)
+    del grads, state, work
     if loss(theta, window, cfg).total < best_loss:
         return theta, log_rows
     return best, log_rows

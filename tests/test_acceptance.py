@@ -165,6 +165,14 @@ def test_criterion_8_outperformance_direction(full_run):
             f"FGP avg {fgp_avg:.5f} > 0, {elapsed:.0f}s < 900s; ordering (reported): {ordering}")
 
 
+def test_reference_fgp_return_matches_its_record(full_run):
+    # criterion 8 checks only the sign of the reference FGP return; this pins its value, within
+    # the tolerance of the small-run record below
+    report, _ = full_run
+    fgp_avg = report.average_log_return("FGP")
+    assert abs(fgp_avg - 0.0027197509184820673) <= 1e-9, repr(fgp_avg)
+
+
 def test_learned_fgp_return_matches_its_record(tmp_path):
     # criterion 8 checks only the sign; this pins what training learns at criterion 10's small
     # size, within perfbench's RECORD_TOL (1e-9), which allows for BLAS kernel differences

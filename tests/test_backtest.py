@@ -489,6 +489,26 @@ def test_walk_forward_no_lookahead():
         np.testing.assert_array_equal(base.terminal[label], other.terminal[label])
 
 
+def test_walk_forward_hands_windows_views_of_the_path(monkeypatch):
+    # no window copies its slices; a read-only path shows that no window writes to them either
+    path = weights_from_gbm(n_assets=3, n_days=70, seed=8)
+    path.weights.flags.writeable = False
+    calls = []
+    run_window = backtest._run_window
+
+    def wrapper(args):
+        calls.append(args)
+        return run_window(args)
+
+    monkeypatch.setattr(backtest, "_run_window", wrapper)
+    report = backtest.walk_forward(path, fast_walk_config())
+    assert len(calls) == report.n_windows
+    for (train_slice, test_slice, *_), (start, test_start, test_end) in zip(calls, report.boundaries):
+        assert np.shares_memory(train_slice, path.weights) and np.shares_memory(test_slice, path.weights)
+        assert np.array_equal(train_slice, path.weights[start : test_start + 1])
+        assert np.array_equal(test_slice, path.weights[test_start : test_end + 1])
+
+
 def test_walk_forward_deterministic():
     path = weights_from_gbm(n_assets=2, n_days=70, seed=8)
     cfg = fast_walk_config()

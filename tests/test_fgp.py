@@ -107,12 +107,17 @@ def test_constant_generator_is_market():
     np.testing.assert_allclose(fgp.classical_weights(fgp.Generator("constant"), x).pi, x, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("error")  # the check comes before x**p or log x could warn
-@pytest.mark.parametrize("gen", [fgp.Generator("entropy"), fgp.Generator("diversity", p=0.5)], ids=lambda g: g.label)
+@pytest.mark.filterwarnings("error")  # the check comes before x**p, log x or 1/x could warn
+@pytest.mark.parametrize(
+    "gen", [fgp.Generator("entropy"), fgp.Generator("diversity", p=0.5), fgp.Generator("equal")], ids=lambda g: g.label
+)
 @pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
 def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
-    with pytest.raises(DataError, match="finite and positive"):
-        fgp.weights(gen, [[0.5, 0.5], [value, 1.0 - value]])
+    # the EWP weight map reads no entry of x and stays unchecked; G, its Hessian and grad log G do
+    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g]
+    for fn in maps + ([fgp.weights] if gen.kind != "equal" else []):
+        with pytest.raises(DataError, match="finite and positive"):
+            fn(gen, [[0.5, 0.5], [value, 1.0 - value]])
 
 
 def test_diversity_exponent_validation():

@@ -74,6 +74,21 @@ def test_floored_weights_stay_in_the_open_simplex():
             md.MarketWeightPath([0, 1], np.array(bad), ["A", "B"])
 
 
+@pytest.mark.parametrize(
+    "dates,weights,tickers,message",
+    [
+        ([0, 1], [0.5, 0.5], ["A", "B"], r"2-D with at least 2 columns, got shape \(2,\)"),
+        ([0, 1], [[1.0], [1.0]], ["A"], r"2-D with at least 2 columns, got shape \(2, 1\)"),
+        ([0, 1, 2], [[0.5, 0.5], [0.5, 0.5]], ["A", "B"], "dates length does not match"),
+        ([0, 1], [[0.5, 0.5], [0.5, 0.5]], ["A"], "tickers length does not match"),
+    ],
+    ids=["1-D", "one-asset", "dates", "tickers"],
+)
+def test_weight_path_checks_its_shape_and_labels(dates, weights, tickers, message):
+    with pytest.raises(DataError, match=message):
+        md.MarketWeightPath(dates, np.array(weights), tickers)
+
+
 def test_normalize_row_sum_overflow_is_data_error():
     # each price is finite, but row 1's total overflows float64; row 0's, at 1.7e308, does not
     prices = np.array([[1e308, 6e307, 1e307], [1e308, 5e307, 1e308], [1.0, 2.0, 3.0]])
