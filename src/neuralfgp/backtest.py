@@ -206,24 +206,24 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
 
     The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
     left endpoint, d_tau the realized covariation increment of the step. The
-    constant generator is exact: V is identically 1 and both terms vanish. A neural generator's
-    weights, G and Hessian come from one fgp.neural_map of all T+1 rows, so the ICNN runs once;
-    its weights and Hessian at row T go unused.
+    constant generator is exact: V is identically 1 and both terms vanish. The weights and
+    Hessian at rows 0..T-1 and G at all T+1 rows come from one map of the slice: a neural
+    generator's from one fgp.neural_map, so the ICNN runs once (its weights and Hessian at row T
+    go unused); a classical one's from one fgp.classical_map, which checks the slice at most
+    twice.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise DataError("master_residual needs at least 2 rows")
-    fgp.check_positive(W)
     if gen.kind == "constant":
+        fgp.check_positive(W)
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
     if gen.kind == "neural":
-        nm = fgp.neural_map(gen.theta, W)
-        weights_fn = lambda x: fgp.PortfolioWeights(nm.pi[:-1])
-        G, H = nm.G_col.reshape(-1), fgp.neural_hessian(gen.theta, nm)[:-1]
+        nm = fgp.neural_map(gen.theta, fgp.check_positive(W))
+        pi, G, H = nm.pi[:-1], nm.G_col.reshape(-1), fgp.neural_hessian(gen.theta, nm)[:-1]
     else:
-        weights_fn = lambda x: fgp.weights(gen, x)
-        G, H = fgp.generator_value(gen, W), fgp.generator_hessian(gen, W[:-1])
-    log_v = float(np.log(relative_wealth(weights_fn, W).terminal))
+        pi, G, H = fgp.classical_map(gen, W)
+    log_v = float(np.log(relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
     log_g_ratio = float(np.log(G[-1] / G[0]))
 
     log_w = np.log(W)

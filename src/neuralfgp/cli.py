@@ -202,10 +202,10 @@ def _print_summary(rows):
     # a label character that stdout cannot encode, as under an ASCII locale, prints as its escape
     encoding = sys.stdout.encoding or "utf-8"
     labels = [label.encode(encoding, "backslashreplace").decode(encoding) for label, _, _ in rows]
-    width = max(map(len, labels))
+    width = max(map(len, labels + ["Strategy"]))
     print(f"{'Strategy'.ljust(width)}  avg log relative return      K")
-    for label, (_, avg, k) in zip(labels, rows):
-        print(f"{label.ljust(width)}  {avg: .10g}{'':>12}{k:>5}")
+    for label, (_, avg, k) in zip(labels, rows):  # 25 columns of average and 5 of K: K ends under the header's
+        print(f"{label.ljust(width)}  {avg:< 25.10g}{k:>5}")
 
 
 def _add_common_flags(p):

@@ -3,6 +3,10 @@ neural map, and closed-form classical generators with their analytic
 gradients and Hessians. The neural generator's Hessian is the negated
 icnn.input_hessian, read off the Work set of a neural map.
 
+Each classical closed form (weights and G) is written once, as an unchecked body; a public map
+checks its point with check_positive, then runs the body. classical_map gives a path's weights,
+G and Hessian in one checked pass, as neural_map does for the neural generator.
+
 Every map takes a point of shape (n,) or a batch of shape (m, n) and works
 row by row on the last axis, so a batch row never reads another row.
 
@@ -111,22 +115,38 @@ def _point(gen: Generator, x):
     return check_positive(x) if gen.kind in ("equal", "diversity", "entropy") else x
 
 
-def classical_weights(gen: Generator, x) -> PortfolioWeights:
-    """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
-    point with an entry that is not finite and positive (check_positive), where x**p or log x
-    would warn."""
-    x = np.asarray(x, dtype=np.float64)
+def _weights(gen: Generator, x):
+    """Closed-form weights at each row of x."""
     if gen.kind == "constant":
         w = x
     elif gen.kind == "equal":
         w = np.ones_like(x)
     elif gen.kind == "diversity":
-        w = check_positive(x) ** gen.p
-    elif gen.kind == "entropy":
-        w = -x * np.log(check_positive(x))
-    else:
+        w = x**gen.p
+    else:  # entropy
+        w = -x * np.log(x)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _value(gen: Generator, x):
+    """Closed-form G at each row of x, shape x.shape[:-1]."""
+    if gen.kind == "constant":
+        return np.ones(x.shape[:-1])
+    if gen.kind == "equal":
+        return np.prod(x ** (1.0 / x.shape[-1]), axis=-1)
+    if gen.kind == "diversity":
+        return np.sum(x**gen.p, axis=-1) ** (1.0 / gen.p)
+    return -np.sum(x * np.log(x), axis=-1)  # entropy
+
+
+def classical_weights(gen: Generator, x) -> PortfolioWeights:
+    """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
+    point with an entry that is not finite and positive (check_positive), where x**p or log x
+    would warn; the EWP map reads no entry of x and stays unchecked."""
+    x = np.asarray(x, dtype=np.float64)
+    if gen.kind == "neural":
         raise ConfigError("classical_weights does not handle the neural generator")
-    return PortfolioWeights(w / w.sum(axis=-1, keepdims=True))
+    return PortfolioWeights(_weights(gen, check_positive(x) if gen.kind in ("diversity", "entropy") else x))
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
@@ -141,7 +161,7 @@ def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
         # G = (sum x^p)^(1/p): the generator whose weight map is x^p / sum x^p
         return x ** (gen.p - 1.0) / np.sum(x**gen.p, axis=-1, keepdims=True)
     if gen.kind == "entropy":
-        return (-np.log(x) - 1.0) / np.expand_dims(generator_value(gen, x), -1)
+        return (-np.log(x) - 1.0) / np.expand_dims(_value(gen, x), -1)
     raise ConfigError("no analytic gradient for the neural generator")
 
 
@@ -150,24 +170,15 @@ def generator_value(gen: Generator, x):
     for a point (n,), an (m,) array for a batch (m, n). The equal, diversity and entropy kinds
     reject a point with an entry that is not finite and positive."""
     x = _point(gen, x)
-    if gen.kind == "constant":
-        G = np.ones(x.shape[:-1])
-    elif gen.kind == "equal":
-        G = np.prod(x ** (1.0 / x.shape[-1]), axis=-1)
-    elif gen.kind == "diversity":
-        G = np.sum(x**gen.p, axis=-1) ** (1.0 / gen.p)
-    elif gen.kind == "entropy":
-        G = -np.sum(x * np.log(x), axis=-1)
-    else:
-        G = np.maximum(-icnn.forward(gen.theta, x), G_FLOOR)
+    G = np.maximum(-icnn.forward(gen.theta, x), G_FLOOR) if gen.kind == "neural" else _value(gen, x)
     return float(G) if x.ndim == 1 else G
 
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators; exact for the neural one, by neural_hessian over a neural_map of the rows. The
-    equal, diversity and entropy kinds reject a point with an entry that is not finite and
-    positive."""
+    generators, the EWP one reading G from the unchecked closed form, so x is checked once;
+    exact for the neural one, by neural_hessian over a neural_map of the rows. The equal,
+    diversity and entropy kinds reject a point with an entry that is not finite and positive."""
     x = _point(gen, x)
     n = x.shape[-1]
     if gen.kind == "constant":
@@ -179,7 +190,7 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
     # or NaN (master_residual raises NumericError on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if gen.kind == "equal":
-            G = np.expand_dims(generator_value(gen, x), -1)
+            G = np.expand_dims(_value(gen, x), -1)
             H = G[..., None] / (n * n * (x[..., :, None] * x[..., None, :]))
             np.einsum("...ii->...i", H)[...] = G * (1.0 - n) / (n * n * x * x)
         elif gen.kind == "diversity":
@@ -193,6 +204,21 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
             H = np.zeros(x.shape + (n,))
             np.einsum("...ii->...i", H)[...] = -1.0 / x
     return H
+
+
+def classical_map(gen: Generator, W):
+    """The closed-form map along a path W (T+1, n) of a non-neural generator, in one checked pass:
+    (pi, G, H) with the weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left
+    end of each step, and G (T+1,) at every row, each with the bits of the public map. W is checked
+    once here and once more by the generator_hessian call that gives H (the EWP Hessian forms its
+    own G at rows 0..T-1); the equal, diversity and entropy kinds reject a path with an entry that
+    is not finite and positive."""
+    if gen.kind == "neural":
+        raise ConfigError("classical_map does not handle the neural generator")
+    x = _point(gen, W)
+    if x.ndim != 2:
+        raise DimensionError(f"classical map: expected a path of shape (T+1, n), got {x.shape}")
+    return _weights(gen, x[:-1]), _value(gen, x), generator_hessian(gen, x[:-1])
 
 
 # ---------------------------------------------------------------------------

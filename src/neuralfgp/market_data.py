@@ -20,6 +20,22 @@ VOL_RANGE = (0.20, 0.80)
 FETCH_TIMEOUT_S = 30
 
 
+def _check_index(what, matrix, dates, tickers):
+    """The shape and index a PricePath's prices and a MarketWeightPath's weights share: a 2-D
+    matrix of at least 2 rows and 2 columns, one date per row with the dates strictly
+    increasing, and one ticker per column. what names the matrix in the DataError."""
+    if matrix.ndim != 2 or matrix.shape[1] < 2:
+        raise DataError(f"{what} matrix must be 2-D with at least 2 columns, got shape {matrix.shape}")
+    if matrix.shape[0] < 2:
+        raise DataError(f"{what} matrix must have at least 2 rows, got shape {matrix.shape}")
+    if len(dates) != matrix.shape[0]:
+        raise DataError(f"dates length does not match number of {what} rows")
+    if len(tickers) != matrix.shape[1]:
+        raise DataError(f"tickers length does not match number of {what} columns")
+    if not all(a < b for a, b in zip(dates, dates[1:])):
+        raise DataError("dates must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PricePath:
     """Strictly positive, finite capitalisations, rows = trading days, columns = assets.
@@ -33,14 +49,7 @@ class PricePath:
 
     def __post_init__(self):
         p = np.asarray(self.prices, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] < 2:
-            raise DataError(f"price matrix must be at least 2x2, got shape {p.shape}")
-        if len(self.dates) != p.shape[0]:
-            raise DataError("dates length does not match number of price rows")
-        if len(self.tickers) != p.shape[1]:
-            raise DataError("tickers length does not match number of price columns")
-        if not all(a < b for a, b in zip(self.dates, self.dates[1:])):
-            raise DataError("dates must be strictly increasing")
+        _check_index("price", p, self.dates, self.tickers)
         bad = ~((p > 0) & np.isfinite(p))
         if bad.any():
             r, c = np.argwhere(bad)[0]
@@ -51,8 +60,8 @@ class PricePath:
 
 @dataclass(frozen=True)
 class MarketWeightPath:
-    """Rows live in the open unit simplex (entries > 0, sums within 1e-12 of 1); same index
-    as the source PricePath, with at least 2 assets."""
+    """Rows live in the open unit simplex (entries > 0, sums within 1e-12 of 1); the shape and
+    index rules of a PricePath (at least 2 rows and 2 assets, strictly increasing dates)."""
 
     dates: list
     weights: np.ndarray
@@ -60,12 +69,7 @@ class MarketWeightPath:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[1] < 2:
-            raise DataError(f"weight matrix must be 2-D with at least 2 columns, got shape {w.shape}")
-        if len(self.dates) != w.shape[0]:
-            raise DataError("dates length does not match number of weight rows")
-        if len(self.tickers) != w.shape[1]:
-            raise DataError("tickers length does not match number of weight columns")
+        _check_index("weight", w, self.dates, self.tickers)
         if not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise DataError("weight rows must sum to 1 within 1e-12")
         if not np.all(w > 0):

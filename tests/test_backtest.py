@@ -415,7 +415,7 @@ CLASSICAL += [fgp.Generator("diversity", p=p) for p in (0.3, 0.5, 0.8)]
 
 
 @pytest.mark.parametrize("gen", CLASSICAL, ids=lambda gen: gen.label)
-@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("n", [2, 5, 9])  # 9 runs past numpy's 8-wide unrolled row reductions
 def test_classical_master_residual_matches_the_first_formulas_bit_for_bit(gen, n):
     for T in (1, 7, 20, 200):
         W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights

@@ -623,4 +623,17 @@ def test_report_prints_a_non_ascii_label_under_an_ascii_locale(tmp_path):
         [sys.executable, "-m", "neuralfgp.cli", "report", str(tmp_path)], env=env, capture_output=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode("ascii").splitlines()[1:] == ["F\\xe9   0.1                3", "EWP     0.2                3"]
+    assert proc.stdout.decode("ascii").splitlines()[1:] == [
+        "F\\xe9      0.1                         3",
+        "EWP        0.2                         3",
+    ]
+
+
+def test_report_aligns_each_k_under_the_header(capsys):
+    rows = [("FGP", 0.00836647483, 3), ("EWP", 0.004617702826, 3), ("DWP p=0.3", -1.2345678901e-120, 39),
+            ("A much longer label", 0.0, 12345), ("M", 3.0, 7)]
+    cli._print_summary(rows)
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.endswith(" K") and len(lines) == len(rows)
+    for line, (_, _, k) in zip(lines, rows):
+        assert len(line) == len(header) and line.endswith(f" {k}"), (header, line)

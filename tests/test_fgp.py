@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neuralfgp import autodiff as ad
 from neuralfgp import backtest, fgp, icnn, training
-from neuralfgp.errors import ConfigError, DataError, NumericError
+from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
 from test_icnn import with_arrays, zero_params
 
 
@@ -113,11 +113,28 @@ def test_constant_generator_is_market():
 )
 @pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
 def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
-    # the EWP weight map reads no entry of x and stays unchecked; G, its Hessian and grad log G do
-    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g]
+    # the EWP weight map reads no entry of x and stays unchecked; G, its Hessian, grad log G and
+    # the path map do
+    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g, fgp.classical_map]
     for fn in maps + ([fgp.weights] if gen.kind != "equal" else []):
         with pytest.raises(DataError, match="finite and positive"):
             fn(gen, [[0.5, 0.5], [value, 1.0 - value]])
+
+
+@pytest.mark.parametrize(
+    "gen", [fgp.Generator(kind) for kind in ("constant", "equal", "entropy")] + [fgp.Generator("diversity", p=0.3)],
+    ids=lambda g: g.label,
+)
+def test_classical_map_gives_the_public_maps_bits_along_a_path(gen):
+    W = np.random.default_rng(4).dirichlet(np.ones(9), 21)
+    pi, G, H = fgp.classical_map(gen, W)
+    assert pi.tobytes() == fgp.classical_weights(gen, W[:-1]).pi.tobytes()
+    assert G.tobytes() == fgp.generator_value(gen, W).tobytes()
+    assert H.tobytes() == fgp.generator_hessian(gen, W[:-1]).tobytes()
+    with pytest.raises(DimensionError):
+        fgp.classical_map(gen, W[0])
+    with pytest.raises(ConfigError):
+        fgp.classical_map(fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0)), W)
 
 
 def test_diversity_exponent_validation():

@@ -81,8 +81,12 @@ def test_floored_weights_stay_in_the_open_simplex():
         ([0, 1], [[1.0], [1.0]], ["A"], r"2-D with at least 2 columns, got shape \(2, 1\)"),
         ([0, 1, 2], [[0.5, 0.5], [0.5, 0.5]], ["A", "B"], "dates length does not match"),
         ([0, 1], [[0.5, 0.5], [0.5, 0.5]], ["A"], "tickers length does not match"),
+        ([1, 0], [[0.5, 0.5], [0.5, 0.5]], ["A", "B"], "dates must be strictly increasing"),
+        ([0, 0], [[0.5, 0.5], [0.5, 0.5]], ["A", "B"], "dates must be strictly increasing"),
+        ([], np.empty((0, 2)), ["A", "B"], r"at least 2 rows, got shape \(0, 2\)"),
+        ([0], [[0.5, 0.5]], ["A", "B"], r"at least 2 rows, got shape \(1, 2\)"),
     ],
-    ids=["1-D", "one-asset", "dates", "tickers"],
+    ids=["1-D", "one-asset", "dates", "tickers", "decreasing-dates", "repeated-date", "no-rows", "one-row"],
 )
 def test_weight_path_checks_its_shape_and_labels(dates, weights, tickers, message):
     with pytest.raises(DataError, match=message):

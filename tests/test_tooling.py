@@ -139,6 +139,24 @@ def test_neural_master_residual_runs_the_icnn_once(monkeypatch):
     assert (len(layers), len(gradients), len(works)) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("diversity", p=0.5)], ids=lambda g: g.label)
+def test_classical_master_residual_checks_its_slice_at_most_twice(monkeypatch, gen):
+    # one fgp.classical_map serves the weights, G and the Hessian; the Hessian still comes through
+    # the public generator_hessian, whose span the benchmark's attribution share reads
+    assert "fgp.generator_hessian" in traced_names()
+    W = np.random.default_rng(0).dirichlet(np.ones(5), 21)
+    checks = counting(monkeypatch, fgp, "check_positive")
+    hessians = counting(monkeypatch, fgp, "generator_hessian")
+    backtest.master_residual(gen, W)
+    assert len(checks) <= 2 and len(hessians) == 1
+
+
+def test_entropy_grad_log_g_checks_its_point_once(monkeypatch):
+    checks = counting(monkeypatch, fgp, "check_positive")
+    fgp.analytic_grad_log_g(fgp.Generator("entropy"), np.random.default_rng(0).dirichlet(np.ones(5), 21))
+    assert len(checks) == 1
+
+
 def blas_threads():
     """The thread count of numpy's bundled OpenBLAS, or None when no getter is found."""
     import ctypes
