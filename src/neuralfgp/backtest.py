@@ -27,7 +27,8 @@ class RelativeWealthPath:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
-        if not (v[0] == 1.0 and v.min() > 0.0):  # one test; a failure then says which check fails
+        # one test; a failure then says which check fails
+        if not (v[0] == 1.0 and np.minimum.reduce(v, axis=None) > 0.0):
             if v[0] != 1.0:
                 raise NumericError("relative wealth must start at 1")
             raise NumericError("relative wealth must stay positive")
@@ -43,15 +44,23 @@ def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise DataError("relative_wealth needs at least 2 rows")
+    return RelativeWealthPath(_wealth(weights_fn(W[:-1]).pi, W))
+
+
+def _wealth(pi, W):
+    """relative_wealth's core: V at the rows of a float64 path W (T+1, n) under the weights pi
+    (T, n), neither checked. Only the step returns are: DataError if one is not finite and
+    positive."""
     # row-wise dot as a stack of (1, n) @ (n, 1) products: the same dot per row as pi @ ratio
-    r = (weights_fn(W[:-1]).pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
-    if not (r.min(initial=np.inf) > 0.0 and r.max(initial=0.0) < np.inf):  # a NaN fails both
+    r = (pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
+    # a NaN fails both
+    if not (np.minimum.reduce(r, initial=np.inf) > 0.0 and np.maximum.reduce(r, initial=0.0) < np.inf):
         bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
         raise DataError(f"non-positive or non-finite relative return at step {bad[0] + 1}")
     v = np.empty(r.size + 1)
     v[0] = 1.0
     np.multiply.accumulate(r, out=v[1:])  # V_s = r_1 ... r_s, the same products as a cumprod from 1
-    return RelativeWealthPath(v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -175,9 +184,14 @@ def walk_forward(path: MarketWeightPath, cfg: WalkForwardConfig) -> WalkForwardR
             results.append(terminals)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs the pool
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, K), initializer=_one_blas_thread) as pool:
-            results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
+        try:
+            with ProcessPoolExecutor(max_workers=min(cfg.jobs, K), initializer=_one_blas_thread) as pool:
+                results = [terminals for terminals, _ in pool.map(_run_window, [a + (None,) for a in jobs_args])]
+        except BrokenProcessPool:  # a worker was killed, e.g. by the system for its memory
+            raise ConfigError(f"a worker of --jobs {cfg.jobs} died before its window finished; "
+                              "try fewer --jobs") from None
 
     labels = tuple(results[0])
     terminal = {label: np.array([terminals[label] for terminals in results]) for label in labels}
@@ -210,7 +224,8 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     Hessian at rows 0..T-1 and G at all T+1 rows come from one map of the slice: a neural
     generator's from one fgp.neural_map, so the ICNN runs once (its weights and Hessian at row T
     go unused); a classical one's from one fgp.classical_map, which checks the slice at most
-    twice.
+    twice. log V comes from relative_wealth's core, so it has relative_wealth's bits; the weights
+    are checked as PortfolioWeights, and the core checks the step returns.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
@@ -223,7 +238,10 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
         pi, G, H = nm.pi[:-1], nm.G_col.reshape(-1), fgp.neural_hessian(gen.theta, nm)[:-1]
     else:
         pi, G, H = fgp.classical_map(gen, W)
-    log_v = float(np.log(relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
+    v = _wealth(fgp.PortfolioWeights(pi).pi, W)
+    if not v[-1] > 0.0:  # a running product of finite positive steps: 0 at the end iff it underflowed
+        raise NumericError("relative wealth must stay positive")
+    log_v = float(np.log(v[-1]))
     log_g_ratio = float(np.log(G[-1] / G[0]))
 
     log_w = np.log(W)

@@ -4,7 +4,9 @@ Each raised class carries its CLI contract as two class attributes: `label`, the
 one stderr line, and `exit_code`, the status cli.main returns. ConfigError is exit 2, DataError
 exit 3 and NumericError exit 4; DimensionError is a ConfigError. cli.main also reports a
 MemoryError, from sizes too large for this machine, with ConfigError's code, and any other
-OSError, such as an unwritable output path, with DataError's.
+OSError, such as an unwritable output path, with DataError's. A --jobs worker process that dies
+(a BrokenProcessPool, as when the system kills it for its memory) is a ConfigError from
+backtest.walk_forward.
 
 Every numeric setting of the package is checked where it is constructed, by one rule: check()
 holds a value to its declared domain, and a dataclass declares a field's domain with bounded().

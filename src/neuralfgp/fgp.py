@@ -7,6 +7,11 @@ Each classical closed form (weights and G) is written once, as an unchecked body
 checks its point with check_positive, then runs the body. classical_map gives a path's weights,
 G and Hessian in one checked pass, as neural_map does for the neural generator.
 
+A slice of a backtest is a few rows, so its cost is calls, not arithmetic. The weight checks, the
+closed forms and the neural map's tail reduce with the ufunc's own reduce (np.add.reduce,
+np.minimum.reduce, ...), not with ndarray.sum/min/max, np.sum or np.prod: those wrap the same
+ufunc reduction in Python, so the bits are the same and only the wrapper's cost goes.
+
 Every map takes a point of shape (n,) or a batch of shape (m, n) and works
 row by row on the last axis, so a batch row never reads another row.
 
@@ -45,8 +50,10 @@ class PortfolioWeights:
         pi = np.asarray(self.pi, dtype=np.float64)
         # one test for valid weights (a NaN or inf entry makes its row's sum miss 1 too); only a
         # failure runs the checks one by one, to say which fails
-        sums_ok = pi.ndim and np.abs(pi.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-10
-        if not (sums_ok and pi.min(initial=np.inf) >= 0.0):
+        sums_ok = pi.ndim and (
+            np.maximum.reduce(np.abs(np.add.reduce(pi, axis=-1) - 1.0), axis=None, initial=0.0) <= 1e-10
+        )
+        if not (sums_ok and np.minimum.reduce(pi, axis=None, initial=np.inf) >= 0.0):
             _check_weights(pi)
         object.__setattr__(self, "pi", pi)
 
@@ -98,12 +105,18 @@ def raw_fgp_weights(grad_log_g, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if g.shape != x.shape:
         raise DimensionError(f"raw_fgp_weights: gradient shape {g.shape} vs point shape {x.shape}")
-    return (g + (1.0 - np.sum(x * g, axis=-1, keepdims=True))) * x
+    return _raw_fgp_weights(g, x)
+
+
+def _raw_fgp_weights(g, x):
+    """raw_fgp_weights' body, unchecked: g and x are float64 arrays of one shape."""
+    return (g + (1.0 - np.add.reduce(x * g, axis=-1, keepdims=True))) * x
 
 
 def check_positive(x):
     """x, if every entry is finite and > 0, else a DataError."""
-    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):  # a NaN fails both
+    low, high = np.minimum.reduce(x, axis=None, initial=np.inf), np.maximum.reduce(x, axis=None, initial=0.0)
+    if not (low > 0.0 and high < np.inf):  # a NaN fails both
         raise DataError("weights must be finite and positive")
     return x
 
@@ -125,7 +138,7 @@ def _weights(gen: Generator, x):
         w = x**gen.p
     else:  # entropy
         w = -x * np.log(x)
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
 def _value(gen: Generator, x):
@@ -133,10 +146,10 @@ def _value(gen: Generator, x):
     if gen.kind == "constant":
         return np.ones(x.shape[:-1])
     if gen.kind == "equal":
-        return np.prod(x ** (1.0 / x.shape[-1]), axis=-1)
+        return np.multiply.reduce(x ** (1.0 / x.shape[-1]), axis=-1)
     if gen.kind == "diversity":
-        return np.sum(x**gen.p, axis=-1) ** (1.0 / gen.p)
-    return -np.sum(x * np.log(x), axis=-1)  # entropy
+        return np.add.reduce(x**gen.p, axis=-1) ** (1.0 / gen.p)
+    return -np.add.reduce(x * np.log(x), axis=-1)  # entropy
 
 
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
@@ -159,7 +172,7 @@ def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
         return 1.0 / (x.shape[-1] * x)
     if gen.kind == "diversity":
         # G = (sum x^p)^(1/p): the generator whose weight map is x^p / sum x^p
-        return x ** (gen.p - 1.0) / np.sum(x**gen.p, axis=-1, keepdims=True)
+        return x ** (gen.p - 1.0) / np.add.reduce(x**gen.p, axis=-1, keepdims=True)
     if gen.kind == "entropy":
         return (-np.log(x) - 1.0) / np.expand_dims(_value(gen, x), -1)
     raise ConfigError("no analytic gradient for the neural generator")
@@ -185,25 +198,31 @@ def generator_hessian(gen: Generator, x) -> np.ndarray:
         return np.zeros(x.shape + (n,))
     if gen.kind == "neural":
         return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(x.shape + (n,))
-    # the classical kinds write the diagonal of each (n, n) block through its einsum view. A tiny
-    # weight can take an entry past the float64 range without a warning: the caller sees the inf
-    # or NaN (master_residual raises NumericError on it)
+    # the classical kinds write the diagonal of each (n, n) block through a strided view of the
+    # fresh, contiguous H. A tiny weight can take an entry past the float64 range without a
+    # warning: the caller sees the inf or NaN (master_residual raises NumericError on it)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if gen.kind == "equal":
             G = np.expand_dims(_value(gen, x), -1)
             H = G[..., None] / (n * n * (x[..., :, None] * x[..., None, :]))
-            np.einsum("...ii->...i", H)[...] = G * (1.0 - n) / (n * n * x * x)
+            _diagonal(H)[...] = G * (1.0 - n) / (n * n * x * x)
         elif gen.kind == "diversity":
             p = gen.p
-            S = np.sum(x**p, axis=-1, keepdims=True)
+            S = np.add.reduce(x**p, axis=-1, keepdims=True)
             xp1 = x ** (p - 1.0)
             H = (1.0 - p) * S[..., None] ** (1.0 / p - 2.0) * (xp1[..., :, None] * xp1[..., None, :])
-            diag = np.einsum("...ii->...i", H)
+            diag = _diagonal(H)
             diag += (p - 1.0) * S ** (1.0 / p - 1.0) * x ** (p - 2.0)
         else:  # entropy
             H = np.zeros(x.shape + (n,))
-            np.einsum("...ii->...i", H)[...] = -1.0 / x
+            _diagonal(H)[...] = -1.0 / x
     return H
+
+
+def _diagonal(H):
+    """The diagonal of each (n, n) block of a C-contiguous H (..., n, n), as a writable view."""
+    n = H.shape[-1]
+    return H.reshape(H.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
 def classical_map(gen: Generator, W):
@@ -246,9 +265,9 @@ def neural_map(theta: icnn.ICNNParams, X, work: icnn.Work = None) -> NeuralMap:
     G = -f
     G_col = np.maximum(G, G_FLOOR).reshape(-1, 1)
     grad_log_g = neg_grad_f / G_col
-    pi_raw = raw_fgp_weights(np.minimum(np.maximum(grad_log_g, -GRAD_CLIP), GRAD_CLIP), X)
+    pi_raw = _raw_fgp_weights(np.minimum(np.maximum(grad_log_g, -GRAD_CLIP), GRAD_CLIP), X)
     pi_floored = np.maximum(pi_raw, PORTFOLIO_WEIGHT_FLOOR)
-    pi_sum = pi_floored.sum(axis=1, keepdims=True)
+    pi_sum = np.add.reduce(pi_floored, axis=1, keepdims=True)
     pi = pi_floored / pi_sum
     return NeuralMap(work, neg_grad_f, G, G_col, grad_log_g, pi_raw, pi_floored, pi_sum, pi)
 
@@ -259,11 +278,13 @@ def neural_map_adjoint(nm: NeuralMap, X, d_pi, d_G):
     grad f, for icnn.param_gradient. Each safety net passes the gradient only where it does not
     bind (see the module docstring). Each step is the vector-Jacobian product of the autodiff
     tape, in its formula and operand layout."""
-    d_floored = d_pi / nm.pi_sum + (-d_pi * nm.pi_floored / (nm.pi_sum * nm.pi_sum)).sum(axis=1, keepdims=True)
+    d_floored = d_pi / nm.pi_sum + np.add.reduce(
+        -d_pi * nm.pi_floored / (nm.pi_sum * nm.pi_sum), axis=1, keepdims=True
+    )
     d_gp = d_floored * (nm.pi_raw > PORTFOLIO_WEIGHT_FLOOR) * X
-    d_g = d_gp + -d_gp.sum(axis=1, keepdims=True) * X
+    d_g = d_gp + -np.add.reduce(d_gp, axis=1, keepdims=True) * X
     d_g_raw = d_g * ((nm.grad_log_g > -GRAD_CLIP) & (nm.grad_log_g < GRAD_CLIP))
-    d_G_col = (-d_g_raw * nm.neg_grad_f / (nm.G_col * nm.G_col)).sum(axis=1, keepdims=True)
+    d_G_col = np.add.reduce(-d_g_raw * nm.neg_grad_f / (nm.G_col * nm.G_col), axis=1, keepdims=True)
     return (d_G_col.reshape(-1) * (nm.G > G_FLOOR) + d_G) * -1.0, d_g_raw / nm.G_col * -1.0
 
 

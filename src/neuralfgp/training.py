@@ -148,12 +148,12 @@ def loss_gradients(theta: icnn.ICNNParams, window_weights, cfg: TrainConfig, wor
     nm = fgp.neural_map(theta, X, work)
 
     # log wealth, penalty and hinge (build_loss)
-    step_returns = (nm.pi * ratios).sum(axis=1)
-    log_v_term = (-1.0 / T) * np.log(step_returns).sum()
-    norms = np.sqrt((nm.pi * nm.pi).sum(axis=1))
-    penalty = cfg.lambda_l2 * (norms.sum() / T)  # a mean: the same add.reduce, then the same divide
+    step_returns = np.add.reduce(nm.pi * ratios, axis=1)
+    log_v_term = (-1.0 / T) * np.add.reduce(np.log(step_returns))
+    norms = np.sqrt(np.add.reduce(nm.pi * nm.pi, axis=1))
+    penalty = cfg.lambda_l2 * (np.add.reduce(norms) / T)  # a mean: the same add.reduce, then the same divide
     slack = np.maximum(POS_MARGIN - nm.G, 0.0)
-    hinge = POS_WEIGHT * ((slack * slack).sum() / T)
+    hinge = POS_WEIGHT * (np.add.reduce(slack * slack) / T)
     total = log_v_term + penalty + hinge
     if not np.isfinite(total):
         raise NumericError("training loss is not finite")

@@ -131,6 +131,74 @@ def test_relative_wealth_rejects_a_lone_zero_or_infinite_step(row, step):
         backtest.relative_wealth(asset_0_fn, path_with(row, [0.0, 0.5, 0.5]))
 
 
+# The weight and wealth checks on degenerate input: each gives the exception class and message it
+# has always given, or passes. A 1-d case is a weights row for PortfolioWeights and check_positive,
+# the last row of a path for relative_wealth, whose weights are all on asset 0 (so step 3 earns
+# the case's first entry over 1/3), and the steps after V_0 = 1 for RelativeWealthPath.
+DEGENERATE = {
+    "empty": [], "0-d": 0.5, "nan": [np.nan, 0.5, 0.5], "inf": [np.inf, 0.5, 0.5], "-inf": [-np.inf, 0.5, 0.5],
+    "-0.0": [-0.0, 0.5, 0.5], "negative": [-0.5, 0.75, 0.75],
+}
+CHECKS = {
+    "PortfolioWeights": fgp.PortfolioWeights,
+    "check_positive": fgp.check_positive,
+    "relative_wealth": lambda a: backtest.relative_wealth(asset_0_fn, path_with(-1, a, rows=4) if a.size > 1 else a),
+    "RelativeWealthPath": lambda a: backtest.RelativeWealthPath(np.r_[1.0, a] if a.size > 1 else a),
+}
+FINITE = (NumericError, "portfolio weights must be finite")
+POSITIVE = (DataError, "weights must be finite and positive")
+STEP_3 = (DataError, "non-positive or non-finite relative return at step 3")
+TWO_ROWS = (DataError, "relative_wealth needs at least 2 rows")
+STAYS_POSITIVE = (NumericError, "relative wealth must stay positive")
+# per check, the outcome of each DEGENERATE case in order; None passes. The IndexErrors are numpy's,
+# from RelativeWealthPath's v[0]
+CONTRACT = {
+    "PortfolioWeights": [
+        (NumericError, "portfolio weights sum to np.float64(0.0), not 1"),
+        (NumericError, "portfolio weights sum to np.float64(0.5), not 1"),
+        FINITE, FINITE, FINITE, None, (NumericError, "portfolio weights must be nonnegative"),
+    ],
+    "check_positive": [None, None, POSITIVE, POSITIVE, POSITIVE, POSITIVE, POSITIVE],
+    "relative_wealth": [TWO_ROWS, TWO_ROWS, STEP_3, STEP_3, STEP_3, STEP_3, STEP_3],
+    "RelativeWealthPath": [
+        (IndexError, "index 0 is out of bounds for axis 0 with size 0"),
+        (IndexError, "too many indices for array: array is 0-dimensional, but 1 were indexed"),
+        STAYS_POSITIVE, None, STAYS_POSITIVE, STAYS_POSITIVE, STAYS_POSITIVE,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "check, case, outcome",
+    [(check, case, outcome) for check, outcomes in CONTRACT.items() for case, outcome in zip(DEGENERATE, outcomes)],
+    ids=[f"{check}-{case}" for check in CONTRACT for case in DEGENERATE],
+)
+def test_weight_and_wealth_checks_keep_their_error_contract(check, case, outcome):
+    value = np.array(DEGENERATE[case], dtype=np.float64)
+    if outcome is None:
+        CHECKS[check](value)
+        return
+    with pytest.raises(outcome[0]) as info:
+        CHECKS[check](value)
+    assert (type(info.value), str(info.value)) == outcome
+
+
+@pytest.mark.parametrize("kind", ["equal", "entropy", "diversity", "neural"])
+@pytest.mark.parametrize("n", [5, 9])  # 9 runs past numpy's 8-wide unrolled row reductions
+def test_master_log_v_is_the_log_of_relative_wealth_bit_for_bit(kind, n):
+    # master_residual's log V and relative_wealth share one wealth core; the constant kind's split
+    # is exactly zero and reads no wealth
+    theta = icnn.init(n, (16, 8), seed=2) if kind == "neural" else None
+    gen = fgp.Generator(kind, p=0.3 if kind == "diversity" else None, theta=theta)
+    for T in (1, 20, 200):
+        W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights
+        # the weights at rows 0..T-1 from one map of the whole path, as master_residual reads them
+        pi = fgp.neural_map(theta, W).pi[:-1] if kind == "neural" else fgp.classical_map(gen, W)[0]
+        want = np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal)
+        got = backtest.master_residual(gen, W).log_v
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), T
+
+
 # --- window layout ------------------------------------------------------------
 
 
@@ -225,6 +293,15 @@ def test_master_residual_of_a_tiny_weight_is_a_numeric_error(gen):
     # non-finite drift, not a numpy warning from inside generator_hessian
     W = np.array([[0.5, 0.5, 1e-300], [0.4, 0.3, 0.3], [0.5, 0.5, 1e-300]])
     with pytest.raises(NumericError, match="non-finite residual"):
+        backtest.master_residual(gen, W)
+
+
+@pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("diversity", p=0.5)], ids=lambda gen: gen.label)
+def test_master_residual_of_wealth_that_underflows_is_a_numeric_error(gen):
+    # every entry is finite and positive, and every step earns a finite, positive 1e-20, but 17
+    # steps take V below the smallest subnormal: log V would be -inf, so the split stops first
+    W = 10.0 ** (170.0 - 20.0 * np.arange(18))[:, None] * np.ones(2)
+    with pytest.raises(NumericError, match="^relative wealth must stay positive$"):
         backtest.master_residual(gen, W)
 
 

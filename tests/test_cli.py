@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import multiprocessing
 import os
 import re
 import subprocess
@@ -224,6 +225,25 @@ def test_backtest_jobs_flag_is_deterministic(tmp_path):
 def test_backtest_jobs_needs_no_warm_start(tmp_path, capsys):
     assert run(backtest_args(tmp_path / "run") + ["--jobs", "2"]) == 2
     assert "--no-warm-start" in capsys.readouterr().err
+
+
+RUN_WINDOW = backtest._run_window
+
+
+def run_window_or_die(args):
+    """backtest._run_window, except in a --jobs worker process, which exits at once, as one the
+    system kills for its memory does."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return RUN_WINDOW(args)
+
+
+def test_backtest_dead_jobs_worker_is_one_line(tmp_path, capfd, monkeypatch):
+    monkeypatch.setattr(backtest, "_run_window", run_window_or_die)
+    assert run(backtest_args(tmp_path / "run") + ["--no-warm-start", "--jobs", "2"]) == 2
+    err = capfd.readouterr().err  # the workers' file descriptors too
+    assert err.startswith("configuration error: ") and "--jobs" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_backtest_svg_flag(tmp_path):

@@ -9,12 +9,16 @@ theta between warm-started windows. A change that stops those calls must fail
 here too.
 
 One layering rule is checked on the source: only `icnn` reads a `Work` set's arrays.
+
+Every committed `BENCH_*.json` record must parse and give, for each workload it lists, every
+end-to-end metric of `BENCHMARK.json` with the parent's and the change's runs pair by pair.
 """
 
 import ast
 import concurrent.futures
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,8 @@ import pytest
 
 from neuralfgp import backtest, fgp, icnn, market_data, training
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def traced_names():
@@ -37,6 +42,20 @@ def traced_names():
 def test_traced_function_resolves(name):
     layer, func = name.split(".")
     assert callable(getattr(importlib.import_module(f"neuralfgp.{layer}"), func, None)), name
+
+
+@pytest.mark.parametrize("record", sorted(path.name for path in ROOT.glob("BENCH_*.json")))
+def test_bench_record_holds_every_end_to_end_metric_per_workload(record):
+    # a perf change's committed record: for each workload it lists, every end-to-end metric of
+    # BENCHMARK.json, with the parent's and the change's summaries and the runs pair by pair
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    bench = json.loads((ROOT / record).read_text())
+    assert bench["workloads"]
+    for name, workload in bench["workloads"].items():
+        for metric in metrics:
+            entry = workload["metrics"][metric]
+            assert {"parent", "change", "per_pair"} <= entry.keys(), (name, metric)
+            assert len(entry["per_pair"]) == workload["pairs"] and all(len(pair) == 2 for pair in entry["per_pair"])
 
 
 def test_only_icnn_reads_work_arrays():
