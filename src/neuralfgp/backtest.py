@@ -9,6 +9,7 @@ restarting at 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,9 @@ class RelativeWealthPath:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
         # one test; a failure then says which check fails
-        if not (v[0] == 1.0 and np.minimum.reduce(v, axis=None) > 0.0):
+        if not (v.ndim == 1 and v.size and v[0] == 1.0 and np.minimum.reduce(v, axis=None) > 0.0):
+            if v.ndim != 1 or not v.size:
+                raise NumericError(f"relative wealth must be a nonempty 1-d path, got shape {v.shape}")
             if v[0] != 1.0:
                 raise NumericError("relative wealth must start at 1")
             raise NumericError("relative wealth must stay positive")
@@ -49,17 +52,28 @@ def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
 
 def _wealth(pi, W):
     """relative_wealth's core: V at the rows of a float64 path W (T+1, n) under the weights pi
-    (T, n), neither checked. Only the step returns are: DataError if one is not finite and
-    positive."""
+    (T, n), neither checked. The step returns are: DataError if one is not finite and positive.
+    So is V: NumericError if it overflows to inf or underflows to 0."""
     # row-wise dot as a stack of (1, n) @ (n, 1) products: the same dot per row as pi @ ratio
     r = (pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
+    high = np.maximum.reduce(r, initial=1.0)  # the largest step, or 1
     # a NaN fails both
-    if not (np.minimum.reduce(r, initial=np.inf) > 0.0 and np.maximum.reduce(r, initial=0.0) < np.inf):
+    if not (np.minimum.reduce(r, initial=np.inf) > 0.0 and high < np.inf):
         bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
         raise DataError(f"non-positive or non-finite relative return at step {bad[0] + 1}")
     v = np.empty(r.size + 1)
     v[0] = 1.0
-    np.multiply.accumulate(r, out=v[1:])  # V_s = r_1 ... r_s, the same products as a cumprod from 1
+    # V_s = r_1 ... r_s, the same products as a cumprod from 1. No V_s exceeds high**s, so only a
+    # path whose bound passes exp(709), just below the float64 maximum, may overflow: numpy's
+    # overflow warning is quieted there alone, and the test below reports it
+    if r.size * math.log(high) < 709.0:
+        np.multiply.accumulate(r, out=v[1:])
+    else:
+        with np.errstate(over="ignore"):
+            np.multiply.accumulate(r, out=v[1:])
+    # every step is finite and positive, so an overflow to inf or an underflow to 0 lasts to V_T
+    if not 0.0 < v[-1] < np.inf:
+        raise NumericError("relative wealth must stay " + ("positive" if v[-1] == 0.0 else "finite"))
     return v
 
 
@@ -221,11 +235,10 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
     left endpoint, d_tau the realized covariation increment of the step. The
     constant generator is exact: V is identically 1 and both terms vanish. The weights and
-    Hessian at rows 0..T-1 and G at all T+1 rows come from one map of the slice: a neural
-    generator's from one fgp.neural_map, so the ICNN runs once (its weights and Hessian at row T
-    go unused); a classical one's from one fgp.classical_map, which checks the slice at most
-    twice. log V comes from relative_wealth's core, so it has relative_wealth's bits; the weights
-    are checked as PortfolioWeights, and the core checks the step returns.
+    Hessian at rows 0..T-1 and G at all T+1 rows come from one fgp.path_map of the slice, so a
+    neural generator's ICNN runs once and a classical slice is checked at most twice. log V comes
+    from relative_wealth's core, so it has relative_wealth's bits; the weights are checked as
+    PortfolioWeights, and the core checks the step returns and the wealth.
     """
     W = np.asarray(weights_matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
@@ -233,15 +246,8 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     if gen.kind == "constant":
         fgp.check_positive(W)
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
-    if gen.kind == "neural":
-        nm = fgp.neural_map(gen.theta, fgp.check_positive(W))
-        pi, G, H = nm.pi[:-1], nm.G_col.reshape(-1), fgp.neural_hessian(gen.theta, nm)[:-1]
-    else:
-        pi, G, H = fgp.classical_map(gen, W)
-    v = _wealth(fgp.PortfolioWeights(pi).pi, W)
-    if not v[-1] > 0.0:  # a running product of finite positive steps: 0 at the end iff it underflowed
-        raise NumericError("relative wealth must stay positive")
-    log_v = float(np.log(v[-1]))
+    pi, G, H = fgp.path_map(gen, W)
+    log_v = float(np.log(_wealth(fgp.PortfolioWeights(pi).pi, W)[-1]))
     log_g_ratio = float(np.log(G[-1] / G[0]))
 
     log_w = np.log(W)

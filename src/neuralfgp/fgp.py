@@ -3,9 +3,11 @@ neural map, and closed-form classical generators with their analytic
 gradients and Hessians. The neural generator's Hessian is the negated
 icnn.input_hessian, read off the Work set of a neural map.
 
-Each classical closed form (weights and G) is written once, as an unchecked body; a public map
-checks its point with check_positive, then runs the body. classical_map gives a path's weights,
-G and Hessian in one checked pass, as neural_map does for the neural generator.
+Each classical closed form (weights and G) is written once, as an unchecked body; a public
+closed-form map checks its point with check_positive, then runs the body, and rejects the neural
+generator (one place, _point). path_map gives a path's weights, G and Hessian in one checked pass
+for every kind: a closed-form generator's from its bodies, the neural one's from one neural_map
+and neural_hessian.
 
 A slice of a backtest is a few rows, so its cost is calls, not arithmetic. The weight checks, the
 closed forms and the neural map's tail reduce with the ufunc's own reduce (np.add.reduce,
@@ -16,7 +18,7 @@ Every map takes a point of shape (n,) or a batch of shape (m, n) and works
 row by row on the last axis, so a batch row never reads another row.
 
 Three safety nets guard the neural map, each with zero gradient where it binds. The G floor
-reads G as max(G, G_FLOOR), here and in generator_value; the gradient passes where G > G_FLOOR.
+reads G as max(G, G_FLOOR), in neural_map alone; the gradient passes where G > G_FLOOR.
 The grad clip caps each component of grad log G at +-GRAD_CLIP; it passes where
 |grad log G| < GRAD_CLIP. The weight floor takes max(pi_raw, PORTFOLIO_WEIGHT_FLOOR), then
 renormalises; it passes where pi_raw > PORTFOLIO_WEIGHT_FLOOR. neural_map_adjoint, the
@@ -122,8 +124,11 @@ def check_positive(x):
 
 
 def _point(gen: Generator, x):
-    """x as float64, checked by check_positive when gen's closed form reads x (equal, diversity
-    and entropy), where x**a, log x or 1/x would warn or mean nothing."""
+    """x as float64 for a closed-form map of gen, checked by check_positive when that closed form
+    reads x (equal, diversity and entropy), where x**a, log x or 1/x would warn or mean nothing.
+    The neural generator has no closed form: ConfigError."""
+    if gen.kind == "neural":
+        raise ConfigError("the closed-form maps do not handle the neural generator")
     x = np.asarray(x, dtype=np.float64)
     return check_positive(x) if gen.kind in ("equal", "diversity", "entropy") else x
 
@@ -156,10 +161,7 @@ def classical_weights(gen: Generator, x) -> PortfolioWeights:
     """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
     point with an entry that is not finite and positive (check_positive), where x**p or log x
     would warn; the EWP map reads no entry of x and stays unchecked."""
-    x = np.asarray(x, dtype=np.float64)
-    if gen.kind == "neural":
-        raise ConfigError("classical_weights does not handle the neural generator")
-    return PortfolioWeights(_weights(gen, check_positive(x) if gen.kind in ("diversity", "entropy") else x))
+    return PortfolioWeights(_weights(gen, np.asarray(x, dtype=np.float64) if gen.kind == "equal" else _point(gen, x)))
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
@@ -173,31 +175,27 @@ def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
     if gen.kind == "diversity":
         # G = (sum x^p)^(1/p): the generator whose weight map is x^p / sum x^p
         return x ** (gen.p - 1.0) / np.add.reduce(x**gen.p, axis=-1, keepdims=True)
-    if gen.kind == "entropy":
-        return (-np.log(x) - 1.0) / np.expand_dims(_value(gen, x), -1)
-    raise ConfigError("no analytic gradient for the neural generator")
+    return (-np.log(x) - 1.0) / np.expand_dims(_value(gen, x), -1)  # entropy
 
 
 def generator_value(gen: Generator, x):
-    """G(x) for a generator (neural value is clamped at the log floor): a float
-    for a point (n,), an (m,) array for a batch (m, n). The equal, diversity and entropy kinds
-    reject a point with an entry that is not finite and positive."""
+    """G(x) for a closed-form generator: a float for a point (n,), an (m,) array for a batch
+    (m, n). The equal, diversity and entropy kinds reject a point with an entry that is not finite
+    and positive. The neural G, read over the G floor, is path_map's or neural_map's."""
     x = _point(gen, x)
-    G = np.maximum(-icnn.forward(gen.theta, x), G_FLOOR) if gen.kind == "neural" else _value(gen, x)
+    G = _value(gen, x)
     return float(G) if x.ndim == 1 else G
 
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
-    """Hessian of G, (n, n) at a point and (m, n, n) for a batch. Analytic for classical
-    generators, the EWP one reading G from the unchecked closed form, so x is checked once;
-    exact for the neural one, by neural_hessian over a neural_map of the rows. The equal,
-    diversity and entropy kinds reject a point with an entry that is not finite and positive."""
+    """Hessian of G for a closed-form generator, (n, n) at a point and (m, n, n) for a batch, the
+    EWP one reading G from the unchecked closed form, so x is checked once. The equal, diversity
+    and entropy kinds reject a point with an entry that is not finite and positive. The neural
+    Hessian is path_map's or neural_hessian's."""
     x = _point(gen, x)
     n = x.shape[-1]
     if gen.kind == "constant":
         return np.zeros(x.shape + (n,))
-    if gen.kind == "neural":
-        return neural_hessian(gen.theta, neural_map(gen.theta, x.reshape(-1, n))).reshape(x.shape + (n,))
     # the classical kinds write the diagonal of each (n, n) block through a strided view of the
     # fresh, contiguous H. A tiny weight can take an entry past the float64 range without a
     # warning: the caller sees the inf or NaN (master_residual raises NumericError on it)
@@ -225,18 +223,22 @@ def _diagonal(H):
     return H.reshape(H.shape[:-2] + (n * n,))[..., :: n + 1]
 
 
-def classical_map(gen: Generator, W):
-    """The closed-form map along a path W (T+1, n) of a non-neural generator, in one checked pass:
-    (pi, G, H) with the weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left
-    end of each step, and G (T+1,) at every row, each with the bits of the public map. W is checked
-    once here and once more by the generator_hessian call that gives H (the EWP Hessian forms its
-    own G at rows 0..T-1); the equal, diversity and entropy kinds reject a path with an entry that
-    is not finite and positive."""
+def path_map(gen: Generator, W):
+    """The map of any generator along a path W (T+1, n), in one checked pass: (pi, G, H) with the
+    weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left end of each step, and
+    G (T+1,) at every row. The equal, diversity, entropy and neural kinds reject a path with an
+    entry that is not finite and positive.
+
+    A closed-form generator's maps have the bits of the public ones. W is checked once here and
+    once more by the generator_hessian call that gives H (the EWP Hessian forms its own G at rows
+    0..T-1). A neural generator's come from one neural_map of all T+1 rows, so the ICNN runs once
+    (its weights and Hessian at row T go unused), with G read over the G floor."""
     if gen.kind == "neural":
-        raise ConfigError("classical_map does not handle the neural generator")
+        nm = neural_map(gen.theta, check_positive(np.asarray(W, dtype=np.float64)))
+        return nm.pi[:-1], nm.G_col.reshape(-1), neural_hessian(gen.theta, nm)[:-1]
     x = _point(gen, W)
     if x.ndim != 2:
-        raise DimensionError(f"classical map: expected a path of shape (T+1, n), got {x.shape}")
+        raise DimensionError(f"path map: expected a path of shape (T+1, n), got {x.shape}")
     return _weights(gen, x[:-1]), _value(gen, x), generator_hessian(gen, x[:-1])
 
 

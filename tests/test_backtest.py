@@ -97,6 +97,7 @@ def path_with(row, values, rows=8):
         (lambda: backtest.RelativeWealthPath(np.array([np.nan, 1.0])), NumericError, "must start at 1"),
         (lambda: backtest.RelativeWealthPath(np.array([1.0, 2.0, 0.0])), NumericError, "must stay positive"),
         (lambda: backtest.RelativeWealthPath(np.array([1.0, np.nan])), NumericError, "must stay positive"),
+        (lambda: backtest.RelativeWealthPath(np.ones((2, 1))), NumericError, re.escape("got shape (2, 1)")),
         # W[2, 0] = 0: step 2 earns 0 and step 3 earns 1/0
         (lambda: backtest.relative_wealth(asset_0_fn, path_with(2, [0.0, 0.5, 0.5])), DataError, "at step 2$"),
         (lambda: backtest.relative_wealth(ewp_fn, path_with(4, [np.nan, 0.5, 0.5])), DataError, "at step 4$"),
@@ -113,6 +114,7 @@ def path_with(row, values, rows=8):
         "wealth-nan-start",
         "wealth-zero",
         "wealth-nan",
+        "wealth-2-d",
         "steps-zero-then-inf",
         "steps-nan",
         "steps-inf",
@@ -131,8 +133,8 @@ def test_relative_wealth_rejects_a_lone_zero_or_infinite_step(row, step):
         backtest.relative_wealth(asset_0_fn, path_with(row, [0.0, 0.5, 0.5]))
 
 
-# The weight and wealth checks on degenerate input: each gives the exception class and message it
-# has always given, or passes. A 1-d case is a weights row for PortfolioWeights and check_positive,
+# The weight and wealth checks on degenerate input: each gives its pinned exception class and
+# message, or passes. A 1-d case is a weights row for PortfolioWeights and check_positive,
 # the last row of a path for relative_wealth, whose weights are all on asset 0 (so step 3 earns
 # the case's first entry over 1/3), and the steps after V_0 = 1 for RelativeWealthPath.
 DEGENERATE = {
@@ -150,8 +152,7 @@ POSITIVE = (DataError, "weights must be finite and positive")
 STEP_3 = (DataError, "non-positive or non-finite relative return at step 3")
 TWO_ROWS = (DataError, "relative_wealth needs at least 2 rows")
 STAYS_POSITIVE = (NumericError, "relative wealth must stay positive")
-# per check, the outcome of each DEGENERATE case in order; None passes. The IndexErrors are numpy's,
-# from RelativeWealthPath's v[0]
+# per check, the outcome of each DEGENERATE case in order; None passes
 CONTRACT = {
     "PortfolioWeights": [
         (NumericError, "portfolio weights sum to np.float64(0.0), not 1"),
@@ -161,8 +162,8 @@ CONTRACT = {
     "check_positive": [None, None, POSITIVE, POSITIVE, POSITIVE, POSITIVE, POSITIVE],
     "relative_wealth": [TWO_ROWS, TWO_ROWS, STEP_3, STEP_3, STEP_3, STEP_3, STEP_3],
     "RelativeWealthPath": [
-        (IndexError, "index 0 is out of bounds for axis 0 with size 0"),
-        (IndexError, "too many indices for array: array is 0-dimensional, but 1 were indexed"),
+        (NumericError, "relative wealth must be a nonempty 1-d path, got shape (0,)"),
+        (NumericError, "relative wealth must be a nonempty 1-d path, got shape ()"),
         STAYS_POSITIVE, None, STAYS_POSITIVE, STAYS_POSITIVE, STAYS_POSITIVE,
     ],
 }
@@ -193,7 +194,7 @@ def test_master_log_v_is_the_log_of_relative_wealth_bit_for_bit(kind, n):
     for T in (1, 20, 200):
         W = weights_from_gbm(n_assets=n, n_days=T + 1, seed=T).weights
         # the weights at rows 0..T-1 from one map of the whole path, as master_residual reads them
-        pi = fgp.neural_map(theta, W).pi[:-1] if kind == "neural" else fgp.classical_map(gen, W)[0]
+        pi = fgp.neural_map(theta, W).pi[:-1] if kind == "neural" else fgp.path_map(gen, W)[0]
         want = np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal)
         got = backtest.master_residual(gen, W).log_v
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), T
@@ -305,6 +306,32 @@ def test_master_residual_of_wealth_that_underflows_is_a_numeric_error(gen):
         backtest.master_residual(gen, W)
 
 
+def flip_path(rows):
+    """Two assets whose prices swap between 1 and 1e13 each day, as market weights."""
+    prices = np.array([[1.0, 1e13], [1e13, 1.0]])[np.arange(rows) % 2]
+    return prices / prices.sum(axis=1, keepdims=True)
+
+
+def test_wealth_that_overflows_is_a_numeric_error():
+    # each EWP step earns about 5e12, a finite and positive return, but 30 of them pass the
+    # float64 maximum: both callers of the wealth core stop with NumericError, and numpy's
+    # overflow warning (an error in this suite) never reaches them
+    gen, W = fgp.Generator("equal"), flip_path(31)
+    with pytest.raises(NumericError, match="^relative wealth must stay finite$"):
+        backtest.relative_wealth(lambda x: fgp.weights(gen, x), W)
+    with pytest.raises(NumericError, match="^relative wealth must stay finite$"):
+        backtest.master_residual(gen, W)
+
+
+def test_wealth_whose_bound_overflows_but_not_its_products_keeps_its_bits():
+    # all on asset 0, whose weight swaps between 1e-13 and 1: the steps earn 1e13 and 1e-13 in
+    # turn, so the largest step to the power T passes the float64 maximum while V stays finite
+    W = flip_path(31)
+    v = backtest.relative_wealth(asset_0_fn, W).v
+    assert v.tobytes() == np.cumprod(np.concatenate([[1.0], W[1:, 0] / W[:-1, 0]])).tobytes()
+    assert v.max() < 1e14
+
+
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("entropy")])
 def test_master_residual_shrinks_with_step(gen):
     # one fine trajectory per seed, observed at three resolutions: the
@@ -322,13 +349,14 @@ def test_master_residual_shrinks_with_step(gen):
 
 def split_from_public_maps(gen, W):
     """The decomposition as the public maps give it, each over all T+1 rows: the weights and the
-    Hessian at rows 0..T-1, and G."""
+    Hessian at rows 0..T-1, and G, read over the floor."""
     pi = fgp.neural_weights(gen.theta, W).pi[:-1]
     log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
-    G = fgp.generator_value(gen, W)
+    nm = fgp.neural_map(gen.theta, W)
+    G = nm.G_col.reshape(-1)
     log_g_ratio = float(np.log(G[-1] / G[0]))
     x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.generator_hessian(gen, W)[:-1], x_dlog, x_dlog))
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.neural_hessian(gen.theta, nm)[:-1], x_dlog, x_dlog))
     return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
 
 
@@ -401,7 +429,7 @@ def test_neural_log_g_ratio_is_g_from_the_icnn():
     theta.c[...] += np.median(-icnn.forward(theta, W))  # G - median(G): half the rows fall below 0
     G = -icnn.forward(theta, W)
     assert (G < fgp.G_FLOOR).any() and (G > fgp.G_FLOOR).any()
-    got = fgp.generator_value(fgp.Generator("neural", theta=theta), W)
+    got = fgp.path_map(fgp.Generator("neural", theta=theta), W)[1]
     assert got.tobytes() == np.where(G > fgp.G_FLOOR, G, fgp.G_FLOOR).tobytes()
 
 

@@ -338,6 +338,10 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({"y.csv": "date,A,B,C\n" + "".join(f"{i},1e308,{5 + i % 3}e307,1e308\n" for i in range(80))},
          ["backtest", "--data", "{tmp}/y.csv", "--train-days", "40", "--test-days", "10", "--widths", "6",
           "--epochs", "5", "--out", "{tmp}/run"], 3),
+        # prices that swap between 1 and 1e13 each day: the EWP's relative wealth overflows float64
+        ({"flip.csv": "date,A,B\n" + "".join(f"{i},{'1,1e13' if i % 2 else '1e13,1'}\n" for i in range(200))},
+         ["backtest", "--data", "{tmp}/flip.csv", "--train-days", "40", "--test-days", "30", "--widths", "4",
+          "--epochs", "3", "--out", "{tmp}/run"], 4),
     ],
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
@@ -349,7 +353,7 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         "widths-zero-backtest", "widths-zero-train", "test-days-zero-train", "p-vals-out-of-range-simulate",
         "use-real-simulate",
         "nul-in-simulate-out", "nul-in-backtest-out", "nul-in-train-data", "simulated-price-overflows",
-        "price-row-sum-overflows",
+        "price-row-sum-overflows", "wealth-overflows",
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
@@ -366,6 +370,7 @@ def test_bad_input_exits_with_one_line(tmp_path, files, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     if code == 2:  # a configuration error ends the run before it writes a file
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted(files)
 

@@ -115,7 +115,7 @@ def test_constant_generator_is_market():
 def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
     # the EWP weight map reads no entry of x and stays unchecked; G, its Hessian, grad log G and
     # the path map do
-    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g, fgp.classical_map]
+    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g, fgp.path_map]
     for fn in maps + ([fgp.weights] if gen.kind != "equal" else []):
         with pytest.raises(DataError, match="finite and positive"):
             fn(gen, [[0.5, 0.5], [value, 1.0 - value]])
@@ -127,14 +127,17 @@ def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
 )
 def test_classical_map_gives_the_public_maps_bits_along_a_path(gen):
     W = np.random.default_rng(4).dirichlet(np.ones(9), 21)
-    pi, G, H = fgp.classical_map(gen, W)
+    pi, G, H = fgp.path_map(gen, W)
     assert pi.tobytes() == fgp.classical_weights(gen, W[:-1]).pi.tobytes()
     assert G.tobytes() == fgp.generator_value(gen, W).tobytes()
     assert H.tobytes() == fgp.generator_hessian(gen, W[:-1]).tobytes()
     with pytest.raises(DimensionError):
-        fgp.classical_map(gen, W[0])
-    with pytest.raises(ConfigError):
-        fgp.classical_map(fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0)), W)
+        fgp.path_map(gen, W[0])
+    # the closed-form maps have no neural branch: the neural G and Hessian are path_map's
+    neural = fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0))
+    for closed_form in (fgp.classical_weights, fgp.analytic_grad_log_g, fgp.generator_value, fgp.generator_hessian):
+        with pytest.raises(ConfigError, match="closed-form maps do not handle the neural generator"):
+            closed_form(neural, W)
 
 
 def test_diversity_exponent_validation():
@@ -219,6 +222,15 @@ def test_neural_weights_match_independent_reimplementation():
         assert np.abs(got - pi_ref).max() < 1e-10
 
 
+def value_and_hessian(gen, x):
+    """G and its Hessian at a point (n,) or at each row of a batch (m, n): the closed-form maps,
+    or one neural_map of the rows and its neural_hessian, G read over the floor."""
+    if gen.kind != "neural":
+        return fgp.generator_value(gen, x), fgp.generator_hessian(gen, x)
+    nm = fgp.neural_map(gen.theta, np.atleast_2d(x))
+    return nm.G_col.reshape(x.shape[:-1]), fgp.neural_hessian(gen.theta, nm).reshape(x.shape + x.shape[-1:])
+
+
 def test_neural_hessian_matches_one_layer_closed_form():
     # f = w . softplus(p) + u . x + c with p = W0 x + b0, so the Hessian of
     # G = -f is -W0^T diag(w * s(p) (1 - s(p))) W0, s the logistic sigmoid
@@ -229,7 +241,7 @@ def test_neural_hessian_matches_one_layer_closed_form():
     for x in random_simplex(rng, 4, 5):
         s = 1.0 / (1.0 + np.exp(-(theta.W[0] @ x + theta.b[0])))
         ref = -theta.W[0].T @ np.diag(theta.w * s * (1.0 - s)) @ theta.W[0]
-        H = fgp.generator_hessian(gen, x)
+        H = value_and_hessian(gen, x)[1]
         assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -270,7 +282,7 @@ def test_neural_hessian_matches_jacobian_recursion(widths):
         for rows in (1, 6, 21):
             X = random_simplex(rng, n, rows)
             ref = np.array([jacobian_recursion_hessian(theta, x) for x in X])
-            assert np.abs(fgp.generator_hessian(gen, X) - ref).max() <= 1e-12 * np.abs(ref).max(), (n, rows)
+            assert np.abs(value_and_hessian(gen, X)[1] - ref).max() <= 1e-12 * np.abs(ref).max(), (n, rows)
 
 
 @pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
@@ -289,7 +301,7 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     h = 1e-5
     for x in random_simplex(rng, 4, 5):
         fd = (grad_f(x + h * np.eye(4)) - grad_f(x - h * np.eye(4))) / (2 * h)
-        assert np.abs(fgp.generator_hessian(gen, x) + fd).max() <= 1e-7 * (1.0 + np.abs(fd).max())
+        assert np.abs(value_and_hessian(gen, x)[1] + fd).max() <= 1e-7 * (1.0 + np.abs(fd).max())
 
 
 def test_importing_fgp_loads_no_tape():
@@ -314,8 +326,8 @@ def test_numpy_paths_build_no_autodiff_node(monkeypatch):
     for x in (X[0], X):
         icnn.forward(theta, x)
         fgp.neural_weights(theta, x)
-        fgp.generator_value(gen, x)
-        fgp.generator_hessian(gen, x)
+        value_and_hessian(gen, x)
+    fgp.path_map(gen, X)
     backtest.master_residual(gen, X)
     training.loss_gradients(theta, X, training.TrainConfig())
 
@@ -366,8 +378,8 @@ def test_batch_matches_stacked_points(gen):
     X = random_simplex(np.random.default_rng(7), 5, 20)
     maps = [
         lambda x: fgp.weights(gen, x).pi,
-        lambda x: fgp.generator_value(gen, x),
-        lambda x: fgp.generator_hessian(gen, x),
+        lambda x: value_and_hessian(gen, x)[0],
+        lambda x: value_and_hessian(gen, x)[1],
     ]
     for f in maps:
         np.testing.assert_allclose(f(X), np.array([f(x) for x in X]), rtol=1e-14, atol=0)

@@ -8,7 +8,9 @@ tape size from the result of `training.build_loss`, and the JSON hand-over of
 theta between warm-started windows. A change that stops those calls must fail
 here too.
 
-One layering rule is checked on the source: only `icnn` reads a `Work` set's arrays.
+Three layering rules are checked on the source: only `icnn` reads a `Work` set's arrays;
+`backtest` evaluates a generator through `fgp.path_map`, not through the maps it is built on; and
+the neural G floor is read only where it is applied or masks a gradient.
 
 Every committed `BENCH_*.json` record must parse and give, for each workload it lists, every
 end-to-end metric of `BENCHMARK.json` with the parent's and the change's runs pair by pair.
@@ -71,6 +73,40 @@ def test_only_icnn_reads_work_arrays():
              or isinstance(node.value, ast.Attribute) and node.value.attr == "work")
     ]
     assert reads == []
+
+
+def names_read(tree):
+    """Every name a parsed source reads: bare names, and attributes such as fgp.path_map."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def functions_reading(name):
+    """{(module, function)} of each function under src/neuralfgp that reads name."""
+    return {
+        (path.stem, func.name)
+        for path in sorted(Path(icnn.__file__).parent.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef) and name in names_read(func)
+    }
+
+
+def test_backtest_evaluates_generators_through_path_map():
+    # master_residual reads every kind's weights, G and Hessian from one fgp.path_map, so backtest
+    # names none of the maps it is built on; and fgp evaluates the ICNN only through neural_map
+    backtest_names = names_read(ast.parse(Path(backtest.__file__).read_text(encoding="utf-8")))
+    assert "path_map" in backtest_names
+    assert not backtest_names & {"neural_map", "neural_hessian", "classical_map"}
+    assert "forward" not in names_read(ast.parse(Path(fgp.__file__).read_text(encoding="utf-8")))
+
+
+def test_g_floor_is_read_only_where_it_is_applied_or_masks_a_gradient():
+    # the floor is applied once in numpy (neural_map) and once on the tape (build_loss, the
+    # training oracle); neural_map_adjoint reads it for the mask that passes the gradient
+    assert functions_reading("G_FLOOR") == {
+        ("fgp", "neural_map"), ("fgp", "neural_map_adjoint"), ("training", "build_loss"),
+    }
 
 
 def counting(monkeypatch, module, name):
@@ -160,7 +196,7 @@ def test_neural_master_residual_runs_the_icnn_once(monkeypatch):
 
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("diversity", p=0.5)], ids=lambda g: g.label)
 def test_classical_master_residual_checks_its_slice_at_most_twice(monkeypatch, gen):
-    # one fgp.classical_map serves the weights, G and the Hessian; the Hessian still comes through
+    # one fgp.path_map serves the weights, G and the Hessian; the Hessian still comes through
     # the public generator_hessian, whose span the benchmark's attribution share reads
     assert "fgp.generator_hessian" in traced_names()
     W = np.random.default_rng(0).dirichlet(np.ones(5), 21)

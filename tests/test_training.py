@@ -461,11 +461,10 @@ def test_work_arrays_carry_nothing_between_calls():
                 assert run[name][0].flat.tobytes() == ref_theta.flat.tobytes()
 
     theta, X = runs[0]["a"][0], cases["a"][1]
-    gen = fgp.Generator("neural", theta=theta)
-    pi, H = fgp.neural_weights(theta, X).pi, fgp.generator_hessian(gen, X)
+    pi, H = fgp.neural_weights(theta, X).pi, fgp.neural_hessian(theta, fgp.neural_map(theta, X))
     kept = pi.tobytes(), H.tobytes()
     fgp.neural_weights(theta, X[::-1])
-    fgp.generator_hessian(gen, X[:3])
+    fgp.neural_hessian(theta, fgp.neural_map(theta, X[:3]))
     training.train_window(theta, X, cfg)
     assert (pi.tobytes(), H.tobytes()) == kept
 
