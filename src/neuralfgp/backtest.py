@@ -9,7 +9,6 @@ restarting at 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,27 +49,20 @@ def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
     return RelativeWealthPath(_wealth(weights_fn(W[:-1]).pi, W))
 
 
+@np.errstate(over="ignore")  # every overflow here ends in inf, which a check below reports
 def _wealth(pi, W):
     """relative_wealth's core: V at the rows of a float64 path W (T+1, n) under the weights pi
     (T, n), neither checked. The step returns are: DataError if one is not finite and positive.
     So is V: NumericError if it overflows to inf or underflows to 0."""
     # row-wise dot as a stack of (1, n) @ (n, 1) products: the same dot per row as pi @ ratio
     r = (pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
-    high = np.maximum.reduce(r, initial=1.0)  # the largest step, or 1
     # a NaN fails both
-    if not (np.minimum.reduce(r, initial=np.inf) > 0.0 and high < np.inf):
+    if not (np.minimum.reduce(r, initial=np.inf) > 0.0 and np.maximum.reduce(r, initial=0.0) < np.inf):
         bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
         raise DataError(f"non-positive or non-finite relative return at step {bad[0] + 1}")
     v = np.empty(r.size + 1)
     v[0] = 1.0
-    # V_s = r_1 ... r_s, the same products as a cumprod from 1. No V_s exceeds high**s, so only a
-    # path whose bound passes exp(709), just below the float64 maximum, may overflow: numpy's
-    # overflow warning is quieted there alone, and the test below reports it
-    if r.size * math.log(high) < 709.0:
-        np.multiply.accumulate(r, out=v[1:])
-    else:
-        with np.errstate(over="ignore"):
-            np.multiply.accumulate(r, out=v[1:])
+    np.multiply.accumulate(r, out=v[1:])  # V_s = r_1 ... r_s, the same products as a cumprod from 1
     # every step is finite and positive, so an overflow to inf or an underflow to 0 lasts to V_T
     if not 0.0 < v[-1] < np.inf:
         raise NumericError("relative wealth must stay " + ("positive" if v[-1] == 0.0 else "finite"))

@@ -161,7 +161,8 @@ def classical_weights(gen: Generator, x) -> PortfolioWeights:
     """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
     point with an entry that is not finite and positive (check_positive), where x**p or log x
     would warn; the EWP map reads no entry of x and stays unchecked."""
-    return PortfolioWeights(_weights(gen, np.asarray(x, dtype=np.float64) if gen.kind == "equal" else _point(gen, x)))
+    x = np.asarray(x, dtype=np.float64) if gen.kind == "equal" else _point(gen, x)
+    return PortfolioWeights(_weights(gen, x))
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
@@ -226,19 +227,20 @@ def _diagonal(H):
 def path_map(gen: Generator, W):
     """The map of any generator along a path W (T+1, n), in one checked pass: (pi, G, H) with the
     weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left end of each step, and
-    G (T+1,) at every row. The equal, diversity, entropy and neural kinds reject a path with an
-    entry that is not finite and positive.
+    G (T+1,) at every row. A W that is not 2-D is a DimensionError for every kind; the equal,
+    diversity, entropy and neural kinds reject a path with an entry that is not finite and positive.
 
     A closed-form generator's maps have the bits of the public ones. W is checked once here and
     once more by the generator_hessian call that gives H (the EWP Hessian forms its own G at rows
     0..T-1). A neural generator's come from one neural_map of all T+1 rows, so the ICNN runs once
     (its weights and Hessian at row T go unused), with G read over the G floor."""
-    if gen.kind == "neural":
-        nm = neural_map(gen.theta, check_positive(np.asarray(W, dtype=np.float64)))
-        return nm.pi[:-1], nm.G_col.reshape(-1), neural_hessian(gen.theta, nm)[:-1]
-    x = _point(gen, W)
+    x = np.asarray(W, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"path map: expected a path of shape (T+1, n), got {x.shape}")
+    if gen.kind == "neural":
+        nm = neural_map(gen.theta, check_positive(x))
+        return nm.pi[:-1], nm.G_col.reshape(-1), neural_hessian(gen.theta, nm)[:-1]
+    x = _point(gen, x)
     return _weights(gen, x[:-1]), _value(gen, x), generator_hessian(gen, x[:-1])
 
 

@@ -102,6 +102,8 @@ def path_with(row, values, rows=8):
         (lambda: backtest.relative_wealth(asset_0_fn, path_with(2, [0.0, 0.5, 0.5])), DataError, "at step 2$"),
         (lambda: backtest.relative_wealth(ewp_fn, path_with(4, [np.nan, 0.5, 0.5])), DataError, "at step 4$"),
         (lambda: backtest.relative_wealth(ewp_fn, path_with(7, [np.inf, 0.5, 0.5])), DataError, "at step 7$"),
+        # (1/3) / 1e-310 overflows: the step is inf, with no overflow warning
+        (lambda: backtest.relative_wealth(ewp_fn, path_with(2, [1e-310, 0.5, 0.5])), DataError, "at step 3$"),
     ],
     ids=[
         "weights-nan-and-negative",
@@ -118,6 +120,7 @@ def path_with(row, values, rows=8):
         "steps-zero-then-inf",
         "steps-nan",
         "steps-inf",
+        "steps-ratio-overflows",
     ],
 )
 def test_failing_checks_name_the_first_failure(build, error, message):
@@ -323,7 +326,7 @@ def test_wealth_that_overflows_is_a_numeric_error():
         backtest.master_residual(gen, W)
 
 
-def test_wealth_whose_bound_overflows_but_not_its_products_keeps_its_bits():
+def test_wealth_whose_steps_would_overflow_alone_keeps_its_bits():
     # all on asset 0, whose weight swaps between 1e-13 and 1: the steps earn 1e13 and 1e-13 in
     # turn, so the largest step to the power T passes the float64 maximum while V stays finite
     W = flip_path(31)
@@ -349,14 +352,14 @@ def test_master_residual_shrinks_with_step(gen):
 
 def split_from_public_maps(gen, W):
     """The decomposition as the public maps give it, each over all T+1 rows: the weights and the
-    Hessian at rows 0..T-1, and G, read over the floor."""
+    Hessian at rows 0..T-1, and G, read over the floor from the ICNN's own forward pass."""
     pi = fgp.neural_weights(gen.theta, W).pi[:-1]
     log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
-    nm = fgp.neural_map(gen.theta, W)
-    G = nm.G_col.reshape(-1)
+    G = np.maximum(-icnn.forward(gen.theta, W), fgp.G_FLOOR)
     log_g_ratio = float(np.log(G[-1] / G[0]))
     x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], fgp.neural_hessian(gen.theta, nm)[:-1], x_dlog, x_dlog))
+    H = fgp.neural_hessian(gen.theta, fgp.neural_map(gen.theta, W))
+    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], H[:-1], x_dlog, x_dlog))
     return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,10 +132,12 @@ def test_classical_map_gives_the_public_maps_bits_along_a_path(gen):
     assert pi.tobytes() == fgp.classical_weights(gen, W[:-1]).pi.tobytes()
     assert G.tobytes() == fgp.generator_value(gen, W).tobytes()
     assert H.tobytes() == fgp.generator_hessian(gen, W[:-1]).tobytes()
-    with pytest.raises(DimensionError):
-        fgp.path_map(gen, W[0])
-    # the closed-form maps have no neural branch: the neural G and Hessian are path_map's
+    # the closed-form maps have no neural branch: the neural G and Hessian are path_map's, which
+    # checks a path's shape once for every kind
     neural = fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0))
+    for kind in (gen, neural):
+        with pytest.raises(DimensionError, match=re.escape("path map: expected a path of shape (T+1, n), got (9,)")):
+            fgp.path_map(kind, W[0])
     for closed_form in (fgp.classical_weights, fgp.analytic_grad_log_g, fgp.generator_value, fgp.generator_hessian):
         with pytest.raises(ConfigError, match="closed-form maps do not handle the neural generator"):
             closed_form(neural, W)

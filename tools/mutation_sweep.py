@@ -17,7 +17,7 @@ and is listed at the end.
 The sweep tests two mutants at a time, each in its own temporary copy of the repository, and
 never writes to the tree it is run from. Each copy runs the suite with OPENBLAS_NUM_THREADS=1,
 so the two do not oversubscribe the cores. It uses the standard library only and is not part
-of CI: on two cores the whole sweep (154 mutants) takes about 7 minutes.
+of CI: on two cores the whole sweep (153 mutants) takes about 7 minutes.
 """
 
 from __future__ import annotations
