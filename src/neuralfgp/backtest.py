@@ -111,10 +111,10 @@ class WalkForwardReport:
 
 
 def window_count(n_rows, train_days=WalkForwardConfig.train_days, test_days=WalkForwardConfig.test_days):
-    """K = (N - (train + test)) // test; requires at least one window."""
+    """K = (N - (train + test)) // test; data too short for one window is a DataError."""
     k = (n_rows - (train_days + test_days)) // test_days
     if k < 1:
-        raise ConfigError(
+        raise DataError(
             f"need more than {train_days + test_days} rows for one walk-forward window, got {n_rows}"
         )
     return k

@@ -172,7 +172,8 @@ def cmd_train(args):
     os.makedirs(out, exist_ok=True)
     icnn.save(theta, os.path.join(out, "theta.json"))
     training.write_training_log(os.path.join(out, "training_log.csv"), log_rows)
-    best = min(row[1] for row in log_rows)
+    # the saved theta's loss: train_window may return a final iterate that no log row records
+    best = training.loss(theta, window, cfg.walk.train).total
     print(f"trained {cfg.epochs} epochs on {cfg.train_days} days; best loss {best:.6g}")
     print(f"artifacts in {out}/: theta.json, training_log.csv")
     return 0

@@ -2,13 +2,15 @@
 
 Each raised class carries its CLI contract as two class attributes: `label`, the prefix of its
 one stderr line, and `exit_code`, the status cli.main returns. ConfigError is exit 2, DataError
-exit 3 and NumericError exit 4; DimensionError is a ConfigError. cli.main also reports a
-MemoryError, from sizes too large for this machine, with ConfigError's code, and any other
-OSError, such as an unwritable output path, with DataError's. A --jobs worker process that dies
-(a BrokenProcessPool, as when the system kills it for its memory) is a ConfigError from
-backtest.walk_forward. A relative wealth that overflows to inf or underflows to 0 is a
-NumericError from backtest's wealth core, never numpy's RuntimeWarning and an inf in a report. A
-closed-form map of fgp given the neural generator is a ConfigError.
+exit 3 and NumericError exit 4; DimensionError is a ConfigError. Data too short for a window is
+a DataError in every command, and so is a market weight that is not positive, one that
+underflows to 0 included. cli.main also reports a MemoryError, from sizes too large for this
+machine, with ConfigError's code, and any other OSError, such as an unwritable output path, with
+DataError's. A --jobs worker process that dies (a BrokenProcessPool, as when the system kills it
+for its memory) is a ConfigError from backtest.walk_forward. A relative wealth that overflows to
+inf or underflows to 0 is a NumericError from backtest's wealth core, never numpy's
+RuntimeWarning and an inf in a report. A closed-form map of fgp given the neural generator is a
+ConfigError.
 
 Every numeric setting of the package is checked where it is constructed, by one rule: check()
 holds a value to its declared domain, and a dataclass declares a field's domain with bounded().

@@ -1,6 +1,8 @@
 """Market-weight paths from a GBM simulator or from ingested price CSVs.
 
-All functions are pure; the simulator's PRNG state is local to each call.
+A market-weight path is its prices over their row totals, unrepaired: a weight that underflows to
+0 is a DataError naming its date and ticker, never a floored value. All functions are pure; the
+simulator's PRNG state is local to each call.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError, bounded, check_fields
 
-MARKET_WEIGHT_FLOOR = 1e-12  # market weights are floored here, then renormalised
 DRIFT_RANGE = (-0.05, 0.15)  # GBM drifts and volatilities are drawn uniformly from these
 VOL_RANGE = (0.20, 0.80)
 FETCH_TIMEOUT_S = 30
 
 
-def _check_index(what, matrix, dates, tickers):
-    """The shape and index a PricePath's prices and a MarketWeightPath's weights share: a 2-D
-    matrix of at least 2 rows and 2 columns, one date per row with the dates strictly
-    increasing, and one ticker per column. what names the matrix in the DataError."""
+def _check_matrix(what, matrix, dates, tickers):
+    """The rules a PricePath's prices and a MarketWeightPath's weights share: a 2-D matrix of at
+    least 2 rows and 2 columns, one date per row with the dates strictly increasing, one ticker
+    per column, and every entry positive and finite. what names the matrix in the DataError, which
+    names the first bad entry's date and ticker."""
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise DataError(f"{what} matrix must be 2-D with at least 2 columns, got shape {matrix.shape}")
     if matrix.shape[0] < 2:
@@ -34,6 +36,11 @@ def _check_index(what, matrix, dates, tickers):
         raise DataError(f"tickers length does not match number of {what} columns")
     if not all(a < b for a, b in zip(dates, dates[1:])):
         raise DataError("dates must be strictly increasing")
+    bad = ~((matrix > 0) & np.isfinite(matrix))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "non-positive" if matrix[r, c] <= 0 else "non-finite"
+        raise DataError(f"{kind} {what} at date {dates[r]}, column {tickers[c]!r}")
 
 
 @dataclass(frozen=True)
@@ -49,19 +56,15 @@ class PricePath:
 
     def __post_init__(self):
         p = np.asarray(self.prices, dtype=np.float64)
-        _check_index("price", p, self.dates, self.tickers)
-        bad = ~((p > 0) & np.isfinite(p))
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            kind = "non-positive" if p[r, c] <= 0 else "non-finite"
-            raise DataError(f"{kind} price at date {self.dates[r]}, column {self.tickers[c]!r}")
+        _check_matrix("price", p, self.dates, self.tickers)
         object.__setattr__(self, "prices", p)
 
 
 @dataclass(frozen=True)
 class MarketWeightPath:
-    """Rows live in the open unit simplex (entries > 0, sums within 1e-12 of 1); the shape and
-    index rules of a PricePath (at least 2 rows and 2 assets, strictly increasing dates)."""
+    """Rows live in the open unit simplex: the rules of a PricePath (at least 2 rows and 2 assets,
+    strictly increasing dates, every entry positive and finite), and every row sums to 1 within
+    1e-12."""
 
     dates: list
     weights: np.ndarray
@@ -69,11 +72,9 @@ class MarketWeightPath:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        _check_index("weight", w, self.dates, self.tickers)
+        _check_matrix("weight", w, self.dates, self.tickers)
         if not np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12):
             raise DataError("weight rows must sum to 1 within 1e-12")
-        if not np.all(w > 0):
-            raise DataError("weights must be positive")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -116,19 +117,15 @@ def gbm_simulate(cfg: GbmConfig) -> PricePath:
 
 
 def normalize_to_weights(path: PricePath) -> MarketWeightPath:
-    """Divide each price row by its total; floor at 1e-12 and renormalise, so a floored entry
-    ends at or just below the floor, never below 1e-12 / (1 + n * 1e-12). A row whose total
-    overflows float64 is a DataError naming its date."""
+    """Each price row over its total, nothing more. A row whose total overflows float64 is a
+    DataError naming its date; a weight that underflows to 0 is MarketWeightPath's DataError,
+    naming its date and ticker."""
     with np.errstate(over="ignore"):
         total = path.prices.sum(axis=1, keepdims=True)
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataError(f"prices at date {path.dates[overflowed[0]]} sum past the float64 range")
-    w = path.prices / total
-    if np.any(w < MARKET_WEIGHT_FLOOR):
-        w = np.maximum(w, MARKET_WEIGHT_FLOOR)
-        w = w / w.sum(axis=1, keepdims=True)
-    return MarketWeightPath(path.dates, w, path.tickers)
+    return MarketWeightPath(path.dates, path.prices / total, path.tickers)
 
 
 def load_prices_csv(path) -> PricePath:

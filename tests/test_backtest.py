@@ -209,7 +209,7 @@ def test_master_log_v_is_the_log_of_relative_wealth_bit_for_bit(kind, n):
 def test_window_count_reference_values():
     assert backtest.window_count(1000) == 39
     assert backtest.window_count(1260) == 52
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="need more than 220 rows for one walk-forward window, got 220"):
         backtest.window_count(220)
 
 

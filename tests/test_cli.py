@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralfgp import backtest, cli, icnn, market_data as md
+from neuralfgp import backtest, cli, icnn, market_data as md, training
 from neuralfgp.backtest import read_summary_csv
 from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
 
@@ -134,15 +134,17 @@ def test_config_file_unparsable_value_names_its_line(tmp_path, capsys):
 
 def test_train_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
-    code = run(
-        ["train", "--n", "2", "--days", "30", "--seed", "3", "--out", str(out)] + FAST
-    )
-    assert code == 0
+    argv = ["train", "--n", "2", "--days", "30", "--seed", "3", *FAST]
+    assert run(argv + ["--out", str(out)]) == 0
     theta = icnn.load(out / "theta.json")
     assert theta.widths == (3,)
     log_lines = (out / "training_log.csv").read_text().strip().splitlines()
     assert len(log_lines) == 3  # header + 2 epochs
-    assert "best loss" in capsys.readouterr().out
+    # the loss printed is the saved theta's, here the final iterate's, which beats every logged epoch
+    cfg = cli.build_run_config(cli.build_parser().parse_args(argv))
+    saved = training.loss(theta, cli._load_weights(cfg).weights[:21], cfg.walk.train).total
+    assert saved < min(float(line.split(",")[1]) for line in log_lines[1:])
+    assert f"best loss {saved:.6g}\n" in capsys.readouterr().out
 
 
 def test_train_saved_params_reload_identically(tmp_path):
@@ -166,10 +168,12 @@ def test_train_trains_window_0_of_the_same_backtest(tmp_path):
 
 
 def test_train_insufficient_data_is_data_error(tmp_path, capsys):
-    out = tmp_path / "run"
-    code = run(["train", "--n", "2", "--days", "10", "--out", str(out)] + FAST)
-    assert code == 3
-    assert "data error" in capsys.readouterr().err
+    # data too short for one window is the same error in every command that needs a window
+    messages = {"train": "training needs 21 rows, data has 10",
+                "backtest": "need more than 30 rows for one walk-forward window, got 10"}
+    for command, message in messages.items():
+        assert run([command, "--n", "2", "--days", "10", "--out", str(tmp_path / "run")] + FAST) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 @pytest.mark.parametrize("train_days,code", [("251", 0), ("252", 3)])
@@ -263,6 +267,25 @@ def test_backtest_real_data_csv(tmp_path):
     )
     assert code == 0
     assert (out / "summary.csv").exists()
+
+
+def test_backtest_of_a_concentrating_market_reports_its_true_wealth(tmp_path, capsys):
+    # A grows 340x a day, so B's and C's market weights fall toward 1e-250: EWP, a third in each,
+    # loses about log 3 a day against the market. Its log wealth per window, straight from prices:
+    # sum over steps of log(mean of price ratios) - log(ratio of price totals)
+    t = np.arange(100.0)
+    prices = np.column_stack([340.0**t, np.ones(100), 1 + 0.01 * (t % 3)])
+    md.write_prices_csv(tmp_path / "f8.csv", md.PricePath(list(range(100)), prices, ["A", "B", "C"]))
+    argv = ["backtest", "--data", str(tmp_path / "f8.csv"), "--train-days", "40", "--test-days", "20"]
+    assert run(argv + ["--widths", "4", "--epochs", "3", "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [row.split(",") for row in (tmp_path / "run" / "windows.csv").read_text().splitlines()[1:]]
+    got = [float(row[3]) for row in rows if row[1] == "EWP"]
+    totals = prices.sum(axis=1)
+    step = np.log(np.mean(prices[1:] / prices[:-1], axis=1)) - np.log(totals[1:] / totals[:-1])
+    want = [step[start:start + 20].sum() for start in (40, 60)]  # windows test on rows 40-60 and 60-80
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert max(want) < -21.8
 
 
 def test_report_round_trip(tmp_path, capsys):

@@ -54,24 +54,34 @@ def test_normalize_single_rows(row, expected):
     np.testing.assert_allclose(w.weights[0], expected, atol=1e-15)
 
 
-def test_normalize_rows_sum_to_one_and_floored():
-    path = md.gbm_simulate(md.GbmConfig(n_assets=5, n_days=300, seed=9))
-    w = md.normalize_to_weights(path)
-    np.testing.assert_allclose(w.weights.sum(axis=1), 1.0, atol=1e-12)
-    assert w.weights.min() >= md.MARKET_WEIGHT_FLOOR
+def test_normalize_is_each_row_over_its_total():
+    # no weight is repaired: a 1e-15 weight stays 1e-15, and every row keeps the bytes of one division
+    gbm = md.gbm_simulate(md.GbmConfig(n_assets=5, n_days=300, seed=9)).prices
+    for prices in (gbm, np.array([[1, 1e-15], [1, 2e-15], [1, 1]])):
+        dates, tickers = list(range(prices.shape[0])), [f"A{i}" for i in range(prices.shape[1])]
+        w = md.normalize_to_weights(md.PricePath(dates, prices, tickers))
+        assert w.weights.tobytes() == (prices / prices.sum(axis=1, keepdims=True)).tobytes()
+        np.testing.assert_allclose(w.weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_floored_weights_stay_in_the_open_simplex():
-    # the floor lifts B to 1e-12, and renormalising puts it just below: still a valid path
-    n = 2
-    path = md.PricePath([0, 1, 2], [[1, 1e-15], [1, 2e-15], [1, 1]], ["A", "B"])
-    w = md.normalize_to_weights(path).weights
-    assert w[:2, 1].max() < md.MARKET_WEIGHT_FLOOR
-    assert w.min() >= md.MARKET_WEIGHT_FLOOR / (1 + n * md.MARKET_WEIGHT_FLOOR)
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    for bad in ([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.5, -0.5]]):
-        with pytest.raises(DataError, match="positive"):
-            md.MarketWeightPath([0, 1], np.array(bad), ["A", "B"])
+@pytest.mark.parametrize(
+    "weights,message",
+    [([[0.5, 0.5], [1.0, 0.0]], "non-positive weight at date 1, column 'B'"),
+     ([[0.5, 0.5], [1.5, -0.5]], "non-positive weight at date 1, column 'B'"),
+     ([[0.0, 1.0], [0.5, 0.5]], "non-positive weight at date 0, column 'A'"),
+     ([[0.5, 0.5], [np.nan, 0.5]], "non-finite weight at date 1, column 'A'")],
+    ids=["zero", "negative", "zero-on-the-first-date", "nan"],
+)
+def test_weight_path_names_its_first_bad_weight(weights, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        md.MarketWeightPath([0, 1], np.array(weights), ["A", "B"])
+
+
+def test_normalize_weight_that_underflows_is_data_error():
+    # B's share of row 1, 1e-300 / 1e300, underflows to 0: the run ends there, naming it
+    path = md.PricePath([0, 1, 2], [[1.0, 1.0], [1e300, 1e-300], [1.0, 1.0]], ["A", "B"])
+    with pytest.raises(DataError, match="^non-positive weight at date 1, column 'B'$"):
+        md.normalize_to_weights(path)
 
 
 @pytest.mark.parametrize(
