@@ -43,17 +43,18 @@ class RelativeWealthPath:
 
 def relative_wealth(weights_fn, weights_matrix) -> RelativeWealthPath:
     """Exact product recursion; weights_fn maps the rows 0..T-1 in one call, so step s sees row s - 1 only."""
-    W = np.asarray(weights_matrix, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise DataError("relative_wealth needs at least 2 rows")
+    W = fgp.check_path(weights_matrix)
     return RelativeWealthPath(_wealth(weights_fn(W[:-1]).pi, W))
 
 
-@np.errstate(over="ignore")  # every overflow here ends in inf, which a check below reports
+# a zero or non-finite entry of W ends in a step return that is 0, inf or NaN, and every overflow
+# in inf: a check below reports each, never numpy's warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _wealth(pi, W):
     """relative_wealth's core: V at the rows of a float64 path W (T+1, n) under the weights pi
-    (T, n), neither checked. The step returns are: DataError if one is not finite and positive.
-    So is V: NumericError if it overflows to inf or underflows to 0."""
+    (T, n), neither checked. The step returns are: DataError if one is not finite and positive,
+    as a zero or non-finite entry of W makes it. So is V: NumericError if it overflows to inf or
+    underflows to 0."""
     # row-wise dot as a stack of (1, n) @ (n, 1) products: the same dot per row as pi @ ratio
     r = (pi[:, None, :] @ (W[1:] / W[:-1])[:, :, None]).ravel()
     # a NaN fails both
@@ -82,7 +83,8 @@ class WalkForwardConfig:
 
     def __post_init__(self):
         check_fields(self)
-        icnn.check_widths(self.widths)
+        object.__setattr__(self, "widths", icnn.check_widths(self.widths))
+        object.__setattr__(self, "p_vals", tuple(self.p_vals))
         if self.jobs > 1 and self.warm_start:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
         labels = [gen.label for gen in self.strategies()]  # fgp.Generator checks each p_vals entry
@@ -228,13 +230,12 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     left endpoint, d_tau the realized covariation increment of the step. The
     constant generator is exact: V is identically 1 and both terms vanish. The weights and
     Hessian at rows 0..T-1 and G at all T+1 rows come from one fgp.path_map of the slice, so a
-    neural generator's ICNN runs once and a classical slice is checked at most twice. log V comes
-    from relative_wealth's core, so it has relative_wealth's bits; the weights are checked as
+    neural generator's ICNN runs once and a classical slice is checked at most twice. The slice is
+    held to fgp.check_path and fgp.check_positive for every kind, the constant one included. log V
+    comes from relative_wealth's core, so it has relative_wealth's bits; the weights are checked as
     PortfolioWeights, and the core checks the step returns and the wealth.
     """
-    W = np.asarray(weights_matrix, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise DataError("master_residual needs at least 2 rows")
+    W = fgp.check_path(weights_matrix)
     if gen.kind == "constant":
         fgp.check_positive(W)
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
@@ -281,6 +282,8 @@ def read_summary_csv(path):
             rows.append((label, float(avg), int(k)))
         except ValueError as exc:  # a non-numeric cell, or a row of other than 3 cells
             raise DataError(f"{path}: malformed summary: {exc}") from None
+        if not (np.isfinite(rows[-1][1]) and rows[-1][2] >= 1):  # a row that no backtest writes
+            raise DataError(f"{path}: summary row {len(rows)} ({label}): average {avg} and K {k} must be finite and >= 1")
     if not rows:
         raise DataError(f"{path}: no strategy rows")
     return rows

@@ -12,8 +12,17 @@ inf or underflows to 0 is a NumericError from backtest's wealth core, never nump
 RuntimeWarning and an inf in a report. A closed-form map of fgp given the neural generator is a
 ConfigError.
 
+A weight path, whether backtest or training reads it, is held to one rule, fgp.check_path: one
+that is not 2-D is a DimensionError, one of fewer than 2 rows a DataError. A point or path with
+an entry that is not finite and positive is a DataError from fgp.check_positive, which every
+generator map of fgp (the closed-form maps, neural_weights and path_map) runs on its input, for
+every kind. A neural fgp.Generator without an icnn.ICNNParams is a ConfigError when it is built.
+A summary.csv row whose average is not finite or whose K is below 1 is a DataError from
+backtest.read_summary_csv.
+
 Every numeric setting of the package is checked where it is constructed, by one rule: check()
 holds a value to its declared domain, and a dataclass declares a field's domain with bounded().
+fgp.Generator holds its diversity exponent p to check() as well, plus its bound p < 1.
 """
 
 import dataclasses

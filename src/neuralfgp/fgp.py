@@ -3,11 +3,18 @@ neural map, and closed-form classical generators with their analytic
 gradients and Hessians. The neural generator's Hessian is the negated
 icnn.input_hessian, read off the Work set of a neural map.
 
+The input contract is said once for a point and once for a path. check_positive is the rule for
+a point: every entry finite and > 0, else a DataError. Every generator map runs it first on its
+input (the closed-form maps, neural_weights and path_map), for every kind, so no x**p, log x, 1/x
+or ICNN pass reads a point outside the open simplex's domain. check_path is the rule for a path's
+shape: a path that is not 2-D is a DimensionError, one of fewer than 2 rows a DataError.
+path_map, backtest.relative_wealth, backtest.master_residual and the training window run it.
+
 Each classical closed form (weights and G) is written once, as an unchecked body; a public
-closed-form map checks its point with check_positive, then runs the body, and rejects the neural
-generator (one place, _point). path_map gives a path's weights, G and Hessian in one checked pass
-for every kind: a closed-form generator's from its bodies, the neural one's from one neural_map
-and neural_hessian.
+closed-form map checks its point and rejects the neural generator (one place, _point), then runs
+the body. path_map checks a path once, before the kind matters, and gives its weights, G and
+Hessian: a closed-form generator's from its bodies, the neural one's from one neural_map and
+neural_hessian.
 
 A slice of a backtest is a few rows, so its cost is calls, not arithmetic. The weight checks, the
 closed forms and the neural map's tail reduce with the ufunc's own reduce (np.add.reduce,
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import icnn
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError, NumericError, check
 
 G_FLOOR = 1e-8  # the neural G is read as max(G, G_FLOOR)
 GRAD_CLIP = 10.0  # componentwise cap on grad log G for the neural map
@@ -86,10 +93,10 @@ class Generator:
     def __post_init__(self):
         if self.kind not in ("constant", "equal", "diversity", "entropy", "neural"):
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "diversity" and not (self.p is not None and 0.0 < self.p < 1.0):
-            raise ConfigError(f"diversity exponent must lie in (0, 1), got {self.p}")
-        if self.kind == "neural" and self.theta is None:
-            raise ConfigError("neural generator needs network parameters")
+        if self.kind == "diversity" and check("diversity exponent p", self.p, 0.0, float, strict=True) >= 1.0:
+            raise ConfigError(f"diversity exponent p must be < 1, got {self.p!r}")
+        if self.kind == "neural" and not isinstance(self.theta, icnn.ICNNParams):
+            raise ConfigError(f"neural generator needs an icnn.ICNNParams, got {type(self.theta).__name__}")
 
     @property
     def label(self):
@@ -123,14 +130,23 @@ def check_positive(x):
     return x
 
 
+def check_path(W):
+    """W as float64, if it is a path of shape (T+1, n) with T >= 1: a W that is not 2-D is a
+    DimensionError, one of fewer than 2 rows a DataError. Its entries are check_positive's."""
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2:
+        raise DimensionError(f"expected a path of shape (T+1, n), got {W.shape}")
+    if len(W) < 2:
+        raise DataError(f"a path needs at least 2 rows, got {len(W)}")
+    return W
+
+
 def _point(gen: Generator, x):
-    """x as float64 for a closed-form map of gen, checked by check_positive when that closed form
-    reads x (equal, diversity and entropy), where x**a, log x or 1/x would warn or mean nothing.
-    The neural generator has no closed form: ConfigError."""
+    """x as float64 for a closed-form map of gen, if check_positive passes it. The neural
+    generator has no closed form: ConfigError."""
     if gen.kind == "neural":
         raise ConfigError("the closed-form maps do not handle the neural generator")
-    x = np.asarray(x, dtype=np.float64)
-    return check_positive(x) if gen.kind in ("equal", "diversity", "entropy") else x
+    return check_positive(np.asarray(x, dtype=np.float64))
 
 
 def _weights(gen: Generator, x):
@@ -158,16 +174,14 @@ def _value(gen: Generator, x):
 
 
 def classical_weights(gen: Generator, x) -> PortfolioWeights:
-    """Closed-form weights for the non-neural generators. The diversity and entropy maps reject a
-    point with an entry that is not finite and positive (check_positive), where x**p or log x
-    would warn; the EWP map reads no entry of x and stays unchecked."""
-    x = np.asarray(x, dtype=np.float64) if gen.kind == "equal" else _point(gen, x)
-    return PortfolioWeights(_weights(gen, x))
+    """Closed-form weights for the non-neural generators at a point or batch x that
+    check_positive passes."""
+    return PortfolioWeights(_weights(gen, _point(gen, x)))
 
 
 def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
-    """grad_x log G for the closed-form generators (used for equivalence tests). The equal,
-    diversity and entropy kinds reject a point with an entry that is not finite and positive."""
+    """grad_x log G for the closed-form generators (used for equivalence tests), at an x that
+    check_positive passes."""
     x = _point(gen, x)
     if gen.kind == "constant":
         return np.zeros_like(x)
@@ -181,18 +195,17 @@ def analytic_grad_log_g(gen: Generator, x) -> np.ndarray:
 
 def generator_value(gen: Generator, x):
     """G(x) for a closed-form generator: a float for a point (n,), an (m,) array for a batch
-    (m, n). The equal, diversity and entropy kinds reject a point with an entry that is not finite
-    and positive. The neural G, read over the G floor, is path_map's or neural_map's."""
+    (m, n), at an x that check_positive passes. The neural G, read over the G floor, is
+    path_map's or neural_map's."""
     x = _point(gen, x)
     G = _value(gen, x)
     return float(G) if x.ndim == 1 else G
 
 
 def generator_hessian(gen: Generator, x) -> np.ndarray:
-    """Hessian of G for a closed-form generator, (n, n) at a point and (m, n, n) for a batch, the
-    EWP one reading G from the unchecked closed form, so x is checked once. The equal, diversity
-    and entropy kinds reject a point with an entry that is not finite and positive. The neural
-    Hessian is path_map's or neural_hessian's."""
+    """Hessian of G for a closed-form generator, (n, n) at a point and (m, n, n) for a batch, at
+    an x that check_positive passes; the EWP one reads G from the unchecked closed form, so x is
+    checked once. The neural Hessian is path_map's or neural_hessian's."""
     x = _point(gen, x)
     n = x.shape[-1]
     if gen.kind == "constant":
@@ -227,20 +240,18 @@ def _diagonal(H):
 def path_map(gen: Generator, W):
     """The map of any generator along a path W (T+1, n), in one checked pass: (pi, G, H) with the
     weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left end of each step, and
-    G (T+1,) at every row. A W that is not 2-D is a DimensionError for every kind; the equal,
-    diversity, entropy and neural kinds reject a path with an entry that is not finite and positive.
+    G (T+1,) at every row. W is checked once, before the kind matters, by check_path and
+    check_positive, so every kind rejects a bad path with one class and one message.
 
-    A closed-form generator's maps have the bits of the public ones. W is checked once here and
-    once more by the generator_hessian call that gives H (the EWP Hessian forms its own G at rows
-    0..T-1). A neural generator's come from one neural_map of all T+1 rows, so the ICNN runs once
-    (its weights and Hessian at row T go unused), with G read over the G floor."""
-    x = np.asarray(W, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"path map: expected a path of shape (T+1, n), got {x.shape}")
+    A closed-form generator's maps have the bits of the public ones: the weights and G come from
+    the unchecked bodies, and H from the generator_hessian call, which checks rows 0..T-1 once
+    more (the EWP Hessian forms its own G there). A neural generator's come from one neural_map
+    of all T+1 rows, so the ICNN runs once (its weights and Hessian at row T go unused), with G
+    read over the G floor."""
+    x = check_positive(check_path(W))
     if gen.kind == "neural":
-        nm = neural_map(gen.theta, check_positive(x))
+        nm = neural_map(gen.theta, x)
         return nm.pi[:-1], nm.G_col.reshape(-1), neural_hessian(gen.theta, nm)[:-1]
-    x = _point(gen, x)
     return _weights(gen, x[:-1]), _value(gen, x), generator_hessian(gen, x[:-1])
 
 
@@ -298,8 +309,9 @@ def neural_hessian(theta: icnn.ICNNParams, nm: NeuralMap) -> np.ndarray:
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:
-    """Evaluate the neural weight map at a simplex point (n,) or at each row of a batch (m, n)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Evaluate the neural weight map at a point (n,) or at each row of a batch (m, n), if
+    check_positive passes x."""
+    x = check_positive(np.asarray(x, dtype=np.float64))
     return PortfolioWeights(neural_map(theta, np.atleast_2d(x)).pi.reshape(x.shape))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fgp, icnn
-from .errors import ConfigError, NumericError, bounded, check_fields
+from .errors import NumericError, bounded, check_fields
 from .market_data import write_csv
 
 POS_MARGIN = 0.1  # hinge margin delta keeping G above it
@@ -64,13 +64,12 @@ Window = namedtuple("Window", "X ratios")  # a window's rows 0..T-1 and its step
 
 
 def _window(window_weights) -> Window:
-    """The Window of a weight window of T+1 rows: X = W[:-1] and ratios = W[1:] / W[:-1].
-    A Window passes through, so train_window checks and divides once for all its epochs."""
+    """The Window of a weight path of T+1 rows that fgp.check_path and fgp.check_positive pass:
+    X = W[:-1] and ratios = W[1:] / W[:-1]. A Window passes through, so train_window checks and
+    divides once for all its epochs."""
     if isinstance(window_weights, Window):
         return window_weights
-    W = np.asarray(window_weights, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise ConfigError("training window needs at least 2 rows")
+    W = fgp.check_positive(fgp.check_path(window_weights))
     return Window(W[:-1], W[1:] / W[:-1])
 
 

@@ -100,7 +100,8 @@ def path_with(row, values, rows=8):
         (lambda: backtest.RelativeWealthPath(np.ones((2, 1))), NumericError, re.escape("got shape (2, 1)")),
         # W[2, 0] = 0: step 2 earns 0 and step 3 earns 1/0
         (lambda: backtest.relative_wealth(asset_0_fn, path_with(2, [0.0, 0.5, 0.5])), DataError, "at step 2$"),
-        (lambda: backtest.relative_wealth(ewp_fn, path_with(4, [np.nan, 0.5, 0.5])), DataError, "at step 4$"),
+        # asset_0_fn reads no entry of the path, so the NaN reaches the step check
+        (lambda: backtest.relative_wealth(asset_0_fn, path_with(4, [np.nan, 0.5, 0.5])), DataError, "at step 4$"),
         (lambda: backtest.relative_wealth(ewp_fn, path_with(7, [np.inf, 0.5, 0.5])), DataError, "at step 7$"),
         # (1/3) / 1e-310 overflows: the step is inf, with no overflow warning
         (lambda: backtest.relative_wealth(ewp_fn, path_with(2, [1e-310, 0.5, 0.5])), DataError, "at step 3$"),
@@ -124,7 +125,8 @@ def path_with(row, values, rows=8):
     ],
 )
 def test_failing_checks_name_the_first_failure(build, error, message):
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(error, match=message):
+    # under the suite's warnings-as-errors: a zero or non-finite entry warns nowhere on the way
+    with pytest.raises(error, match=message):
         build()
 
 
@@ -132,8 +134,20 @@ def test_failing_checks_name_the_first_failure(build, error, message):
 def test_relative_wealth_rejects_a_lone_zero_or_infinite_step(row, step):
     # W[row, 0] = 0 with every weight on asset 0: the last step earns 0, or the first earns 1/0,
     # and every other step is sound, so each bound of the step check is met alone
-    with np.errstate(divide="ignore"), pytest.raises(DataError, match=f"at step {step}$"):
+    with pytest.raises(DataError, match=f"at step {step}$"):
         backtest.relative_wealth(asset_0_fn, path_with(row, [0.0, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("value, step", [(0.0, 3), (np.nan, 2), (np.inf, 2), (-np.inf, 2)],
+                         ids=["zero", "nan", "inf", "-inf"])
+def test_relative_wealth_reports_a_bad_entry_whatever_the_weights(value, step):
+    # weights that read no entry of the path: W[2, 0] reaches only the step returns, and ends in
+    # the step check's DataError, never numpy's divide or invalid warning (the suite's errors)
+    def fixed_fn(x):
+        return fgp.PortfolioWeights(np.full_like(x, 1.0 / 3.0))
+
+    with pytest.raises(DataError, match=f"at step {step}$"):
+        backtest.relative_wealth(fixed_fn, path_with(2, [value, 0.5, 0.5]))
 
 
 # The weight and wealth checks on degenerate input: each gives its pinned exception class and
@@ -153,7 +167,7 @@ CHECKS = {
 FINITE = (NumericError, "portfolio weights must be finite")
 POSITIVE = (DataError, "weights must be finite and positive")
 STEP_3 = (DataError, "non-positive or non-finite relative return at step 3")
-TWO_ROWS = (DataError, "relative_wealth needs at least 2 rows")
+NOT_A_PATH = "expected a path of shape (T+1, n), got "
 STAYS_POSITIVE = (NumericError, "relative wealth must stay positive")
 # per check, the outcome of each DEGENERATE case in order; None passes
 CONTRACT = {
@@ -163,7 +177,10 @@ CONTRACT = {
         FINITE, FINITE, FINITE, None, (NumericError, "portfolio weights must be nonnegative"),
     ],
     "check_positive": [None, None, POSITIVE, POSITIVE, POSITIVE, POSITIVE, POSITIVE],
-    "relative_wealth": [TWO_ROWS, TWO_ROWS, STEP_3, STEP_3, STEP_3, STEP_3, STEP_3],
+    "relative_wealth": [
+        (DimensionError, NOT_A_PATH + "(0,)"), (DimensionError, NOT_A_PATH + "()"),
+        STEP_3, STEP_3, STEP_3, STEP_3, STEP_3,
+    ],
     "RelativeWealthPath": [
         (NumericError, "relative wealth must be a nonempty 1-d path, got shape (0,)"),
         (NumericError, "relative wealth must be a nonempty 1-d path, got shape ()"),
@@ -268,24 +285,63 @@ KINDS = [
 
 @pytest.mark.parametrize("gen", KINDS, ids=lambda gen: gen.kind)
 @pytest.mark.parametrize(
-    "W,message",
+    "W, error, message",
     [
-        (np.array([[0.2, 0.3, 0.5]]), "master_residual needs at least 2 rows"),
-        (np.array([0.2, 0.3, 0.5]), "master_residual needs at least 2 rows"),
-        (np.array([[0.2, 0.3, 0.5], [np.nan, 0.3, 0.5], [0.2, 0.3, 0.5]]), "finite and positive"),
+        (np.array([[0.2, 0.3, 0.5]]), DataError, "a path needs at least 2 rows, got 1"),
+        (np.array([0.2, 0.3, 0.5]), DimensionError, NOT_A_PATH + "(3,)"),
+        (np.array([[0.2, 0.3, 0.5], [np.nan, 0.3, 0.5], [0.2, 0.3, 0.5]]), DataError, POSITIVE[1]),
     ],
     ids=["one-row", "1-d", "nan"],
 )
-def test_master_residual_checks_the_slice_for_every_kind(gen, W, message):
+def test_master_residual_checks_the_slice_for_every_kind(gen, W, error, message):
     # the constant kind's exact zeros come only after the same check as every other kind
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(error) as info:
         backtest.master_residual(gen, W)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+# The one path rule at every entry point that takes a weight path: fgp.check_path for its shape,
+# then fgp.check_positive for its entries (in relative_wealth, through the weight map of the
+# rows 0..T-1, which holds the bad entry W[2, 0]). Each case gives one class and one message,
+# under the suite's warnings-as-errors.
+def path_with_bad_entry(value):
+    W = np.random.default_rng(0).dirichlet(np.ones(3), 6)
+    W[2, 0] = value
+    return W
+
+
+PATH_CASES = {
+    "1-d": (np.full(3, 1.0 / 3.0), DimensionError, NOT_A_PATH + "(3,)"),
+    "3-d": (np.full((2, 2, 3), 1.0 / 3.0), DimensionError, NOT_A_PATH + "(2, 2, 3)"),
+    "1-row": (np.full((1, 3), 1.0 / 3.0), DataError, "a path needs at least 2 rows, got 1"),
+    **{case: (path_with_bad_entry(value), *POSITIVE)
+       for case, value in (("zero", 0.0), ("negative", -0.1), ("nan", np.nan), ("inf", np.inf))},
+}
+FAST_TRAIN = training.TrainConfig(epochs=2)
+PATH_ENTRY_POINTS = {
+    **{f"relative_wealth-{gen.kind}": lambda W, gen=gen: backtest.relative_wealth(lambda x: fgp.weights(gen, x), W)
+       for gen in KINDS},
+    **{f"master_residual-{gen.kind}": lambda W, gen=gen: backtest.master_residual(gen, W) for gen in KINDS},
+    **{f"path_map-{gen.kind}": lambda W, gen=gen: fgp.path_map(gen, W) for gen in KINDS},
+    "loss": lambda W: training.loss(KINDS[-1].theta, W, FAST_TRAIN),
+    "loss_gradients": lambda W: training.loss_gradients(KINDS[-1].theta, W, FAST_TRAIN),
+    "train_window": lambda W: training.train_window(KINDS[-1].theta, W, FAST_TRAIN),
+}
+
+
+@pytest.mark.parametrize("case", PATH_CASES)
+@pytest.mark.parametrize("entry", PATH_ENTRY_POINTS)
+def test_every_path_entry_point_keeps_one_path_rule(entry, case):
+    W, error, message = PATH_CASES[case]
+    with pytest.raises(error) as info:
+        PATH_ENTRY_POINTS[entry](W.copy())
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @pytest.mark.parametrize("gen", KINDS, ids=lambda gen: gen.kind)
 @pytest.mark.parametrize("value", [0.0, np.inf], ids=["zero", "inf"])
 def test_master_residual_rejects_a_zero_or_infinite_weight(gen, value):
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DataError, match="finite and positive"):
+    with pytest.raises(DataError, match="finite and positive"):
         backtest.master_residual(gen, path_with(3, [value, 0.5, 0.5]))
 
 
@@ -561,6 +617,14 @@ def test_walk_forward_config_checks_exponents_before_any_window_trains(p_vals):
         backtest.WalkForwardConfig(p_vals=p_vals)
 
 
+def test_walk_forward_config_stores_its_widths_and_exponents_as_tuples():
+    # a frozen config is a value: hashable, and equal to the config of the same settings
+    cfg = backtest.WalkForwardConfig(widths=np.array([4, 2]), p_vals=[0.3, 0.5])
+    assert (cfg.widths, cfg.p_vals) == ((4, 2), (0.3, 0.5)) and type(cfg.widths[0]) is int
+    assert cfg == backtest.WalkForwardConfig(widths=(4, 2), p_vals=(0.3, 0.5))
+    assert hash(backtest.WalkForwardConfig(widths=[4])) == hash(backtest.WalkForwardConfig(widths=(4,)))
+
+
 @pytest.mark.parametrize("p_vals", [(0.5, 0.5), (0.5, 0.50000001), (0.3, 0.8, 0.30000000001)])
 def test_walk_forward_config_refuses_two_strategies_with_one_label(p_vals):
     # the report keys terminal wealth by label, so a second DWP of the same label would replace the first
@@ -695,14 +759,24 @@ def test_csv_outputs_round_trip(tmp_path):
         (b"E" * 20_000 + b",0.2,3\nF\xe9,0.1,3\n", "cannot read .*utf-8"),
         (b"F,x,3\n", "malformed summary: could not convert"),
         (b"F,0.1\n", "malformed summary: not enough values"),
+        # a row that no backtest writes: an average that is not finite, or fewer than 1 window
+        (b"E,0.2,3\nFGP,nan,39\n", r"summary.csv: summary row 2 \(FGP\): average nan and K 39 must be finite and >= 1$"),
+        (b"EWP,-inf,3\n", r"summary row 1 \(EWP\): average -inf and K 3 must be finite and >= 1$"),
+        (b"EWP,0.1,0\n", r"summary row 1 \(EWP\): average 0.1 and K 0 must be finite and >= 1$"),
     ],
-    ids=["non-utf8-row", "non-numeric-cell", "short-row"],
+    ids=["non-utf8-row", "non-numeric-cell", "short-row", "nan-average", "infinite-average", "zero-k"],
 )
 def test_read_summary_csv_names_read_and_parse_errors_apart(tmp_path, body, message):
     summary = tmp_path / "summary.csv"
     summary.write_bytes(b"strategy,avg_log_relative_return,K\n" + body)
     with pytest.raises(DataError, match=message):
         backtest.read_summary_csv(summary)
+
+
+def test_read_summary_csv_accepts_a_single_window(tmp_path):
+    summary = tmp_path / "summary.csv"
+    summary.write_bytes(b"strategy,avg_log_relative_return,K\nFGP,-0.25,1\n")
+    assert backtest.read_summary_csv(summary) == [("FGP", -0.25, 1)]
 
 
 def test_svg_output(tmp_path):

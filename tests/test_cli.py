@@ -321,6 +321,9 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
         ({"run/summary.csv": "strategy,avg_log_relative_return,K\n"}, ["report", "{tmp}/run"], 3),
         ({"run/summary.csv": "strategy,avg_log_relative_return,K\nF\u00e9,0.1,3\n"}, ["report", "{tmp}/run"], 3),
         ({"run/summary.csv": "strategy,avg_log_relative_return,K\n" + "F" * 200_000 + ",0.1,3\n"}, ["report", "{tmp}/run"], 3),
+        # rows no backtest writes: an average that is not finite, a window count below 1
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\nFGP,nan,39\n"}, ["report", "{tmp}/run"], 3),
+        ({"run/summary.csv": "strategy,avg_log_relative_return,K\nFGP,0.1,39\nEWP,0.2,-3\n"}, ["report", "{tmp}/run"], 3),
         # a non-finite hyperparameter is rejected before the data is read: exit 2, not the missing file's 3
         ({}, ["train", "--data", "{tmp}/missing.csv", "--lambda", "nan"], 2),
         ({}, ["backtest", "--data", "{tmp}/missing.csv", "--lr", "inf"], 2),
@@ -369,7 +372,8 @@ def test_report_missing_dir_is_data_error(tmp_path, capsys):
     ids=[
         "missing-data", "missing-config", "malformed-summary", "mixed-dates", "non-utf8-data", "non-utf8-config",
         "simulate-out-missing-dir", "train-out-under-file", "backtest-out-under-file", "empty-summary",
-        "non-utf8-summary", "oversized-summary-field", "lambda-nan", "lr-inf", "n-not-int", "lambda-minus-inf",
+        "non-utf8-summary", "oversized-summary-field", "nan-summary", "negative-k-summary", "lambda-nan", "lr-inf",
+        "n-not-int", "lambda-minus-inf",
         "seed-negative", "seed-negative-config", "p-vals-not-float", "widths-not-int", "p-vals-out-of-range",
         "p-vals-same-label",
         "lr-overflows-step", "n-too-large", "widths-too-large", "train-days-negative", "train-days-1",

@@ -108,18 +108,24 @@ def test_constant_generator_is_market():
     np.testing.assert_allclose(fgp.classical_weights(fgp.Generator("constant"), x).pi, x, atol=1e-15)
 
 
-@pytest.mark.filterwarnings("error")  # the check comes before x**p, log x or 1/x could warn
+@pytest.mark.filterwarnings("error")  # the check comes before x**p, log x, 1/x or the ICNN could warn
 @pytest.mark.parametrize(
-    "gen", [fgp.Generator("entropy"), fgp.Generator("diversity", p=0.5), fgp.Generator("equal")], ids=lambda g: g.label
+    "gen",
+    [fgp.Generator("entropy"), fgp.Generator("diversity", p=0.5), fgp.Generator("equal"), fgp.Generator("constant"),
+     fgp.Generator("neural", theta=icnn.init(2, (4,), seed=0))],
+    ids=lambda g: g.label,
 )
 @pytest.mark.parametrize("value", [-0.5, 0.0, np.nan, np.inf])
 def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
-    # the EWP weight map reads no entry of x and stays unchecked; G, its Hessian, grad log G and
-    # the path map do
-    maps = [fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g, fgp.path_map]
-    for fn in maps + ([fgp.weights] if gen.kind != "equal" else []):
-        with pytest.raises(DataError, match="finite and positive"):
+    # every map of every kind checks its point the same way, the ones that read no entry of x
+    # (the EWP and Market weights) included; fgp.weights of the neural kind is neural_weights
+    maps = [fgp.weights, fgp.path_map]
+    if gen.kind != "neural":
+        maps += [fgp.classical_weights, fgp.generator_value, fgp.generator_hessian, fgp.analytic_grad_log_g]
+    for fn in maps:
+        with pytest.raises(DataError) as info:
             fn(gen, [[0.5, 0.5], [value, 1.0 - value]])
+        assert str(info.value) == "weights must be finite and positive"
 
 
 @pytest.mark.parametrize(
@@ -136,7 +142,7 @@ def test_classical_map_gives_the_public_maps_bits_along_a_path(gen):
     # checks a path's shape once for every kind
     neural = fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0))
     for kind in (gen, neural):
-        with pytest.raises(DimensionError, match=re.escape("path map: expected a path of shape (T+1, n), got (9,)")):
+        with pytest.raises(DimensionError, match=re.escape("expected a path of shape (T+1, n), got (9,)")):
             fgp.path_map(kind, W[0])
     for closed_form in (fgp.classical_weights, fgp.analytic_grad_log_g, fgp.generator_value, fgp.generator_hessian):
         with pytest.raises(ConfigError, match="closed-form maps do not handle the neural generator"):
@@ -150,6 +156,28 @@ def test_diversity_exponent_validation():
         fgp.Generator("diversity", p=0.0)
     with pytest.raises(ConfigError):
         fgp.Generator("diversity")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="diversity", p="0.5"), "diversity exponent p must be a finite number > 0.0, got '0.5'"),
+        (dict(kind="diversity", p=0.5j), "diversity exponent p must be a finite number > 0.0, got 0.5j"),
+        (dict(kind="diversity", p=True), "diversity exponent p must be a finite number > 0.0, got True"),
+        (dict(kind="diversity", p=None), "diversity exponent p must be a finite number > 0.0, got None"),
+        (dict(kind="diversity", p=np.nan), "diversity exponent p must be a finite number > 0.0, got nan"),
+        (dict(kind="diversity", p=1.0), "diversity exponent p must be < 1, got 1.0"),
+        (dict(kind="neural"), "neural generator needs an icnn.ICNNParams, got NoneType"),
+        (dict(kind="neural", theta=np.zeros(5)), "neural generator needs an icnn.ICNNParams, got ndarray"),
+    ],
+    ids=["p-str", "p-complex", "p-bool", "p-none", "p-nan", "p-one", "theta-none", "theta-array"],
+)
+def test_generator_checks_its_fields_at_construction(fields, message):
+    # by errors.check, as every numeric setting is: a ConfigError, not a TypeError at the
+    # comparison or an AttributeError at the first use of theta
+    with pytest.raises(ConfigError) as info:
+        fgp.Generator(**fields)
+    assert str(info.value) == message
 
 
 def test_diversity_concentration_grows_with_p():

@@ -6,7 +6,7 @@ import pytest
 
 from neuralfgp import autodiff as ad
 from neuralfgp import fgp, icnn, training
-from neuralfgp.errors import ConfigError, NumericError
+from neuralfgp.errors import ConfigError, DataError, NumericError
 from test_icnn import with_arrays, zero_params
 
 
@@ -36,8 +36,9 @@ def test_market_numeraire_loss_is_zero():
 
 
 def test_window_too_short_rejected():
+    # a window is a path, held to fgp.check_path: one row is data too short, as in every command
     theta = zero_params(n=2, widths=(3,), c=-5.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="^a path needs at least 2 rows, got 1$"):
         training.loss(theta, np.array([[0.5, 0.5]]), training.TrainConfig())
 
 
@@ -187,8 +188,9 @@ def test_each_safety_net_passes_no_gradient_where_it_binds():
 
 
 def test_loss_gradients_non_finite_loss_is_numeric_error():
-    theta = zero_params(n=2, widths=(2,), c=-5.0)
-    window = np.array([[0.5, 0.5], [np.inf, 0.5]])
+    # a valid window and G = -1e200: pi is the market, and the hinge's square overflows to inf
+    theta = zero_params(n=2, widths=(2,), c=1e200)
+    window = np.array([[0.5, 0.5], [0.4, 0.6]])
     with pytest.raises(NumericError, match="loss is not finite"):
         training.loss_gradients(theta, window, training.TrainConfig())
 
