@@ -9,6 +9,7 @@ restarting at 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,9 @@ class WalkForwardConfig:
     def __post_init__(self):
         check_fields(self)
         object.__setattr__(self, "widths", icnn.check_widths(self.widths))
+        # a bare number, a 0-d array and a string (whose items are characters) are no sequence of exponents
+        if isinstance(self.p_vals, str) or not isinstance(self.p_vals, Iterable) or getattr(self.p_vals, "ndim", 1) == 0:
+            raise ConfigError(f"p_vals must be a sequence of diversity exponents, got {self.p_vals!r}")
         object.__setattr__(self, "p_vals", tuple(self.p_vals))
         if self.jobs > 1 and self.warm_start:
             raise ConfigError("--jobs needs --no-warm-start: warm-started windows run in sequence")
@@ -228,10 +232,10 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
 
     The drift increment at step s is -1/(2G) sum_ij H_ij x_i x_j d_tau_ij at the
     left endpoint, d_tau the realized covariation increment of the step. The
-    constant generator is exact: V is identically 1 and both terms vanish. The weights and
-    Hessian at rows 0..T-1 and G at all T+1 rows come from one fgp.path_map of the slice, so a
-    neural generator's ICNN runs once and a classical slice is checked at most twice. The slice is
-    held to fgp.check_path and fgp.check_positive for every kind, the constant one included. log V
+    constant generator is exact: V is identically 1 and both terms vanish. The weights and drift
+    at rows 0..T-1 and G at all T+1 rows come from one fgp.path_map of the slice, so a neural
+    generator's ICNN runs once and a classical slice is checked at most twice. The slice is held
+    to fgp.check_path and fgp.check_positive for every kind, the constant one included. log V
     comes from relative_wealth's core, so it has relative_wealth's bits; the weights are checked as
     PortfolioWeights, and the core checks the step returns and the wealth.
     """
@@ -239,13 +243,9 @@ def master_residual(gen: fgp.Generator, weights_matrix) -> MasterDecomposition:
     if gen.kind == "constant":
         fgp.check_positive(W)
         return MasterDecomposition(0.0, 0.0, 0.0, 0.0)
-    pi, G, H = fgp.path_map(gen, W)
+    pi, G, drift = fgp.path_map(gen, W)
     log_v = float(np.log(_wealth(fgp.PortfolioWeights(pi).pi, W)[-1]))
     log_g_ratio = float(np.log(G[-1] / G[0]))
-
-    log_w = np.log(W)
-    x_dlog = W[:-1] * (log_w[1:] - log_w[:-1])
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], H, x_dlog, x_dlog))
     residual = log_v - log_g_ratio - drift
     if not np.isfinite(residual):
         raise NumericError("master decomposition produced a non-finite residual")

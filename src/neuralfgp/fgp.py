@@ -1,7 +1,8 @@
 """Portfolio weight maps: the generic functionally-generated rule, the
 neural map, and closed-form classical generators with their analytic
-gradients and Hessians. The neural generator's Hessian is the negated
-icnn.input_hessian, read off the Work set of a neural map.
+gradients and Hessians. No Hessian of the neural generator is formed: path_map
+reads its curvature along each step of a path off the Work set of a neural map,
+by icnn.input_curvature.
 
 The input contract is said once for a point and once for a path. check_positive is the rule for
 a point: every entry finite and > 0, else a DataError. Every generator map runs it first on its
@@ -13,8 +14,8 @@ path_map, backtest.relative_wealth, backtest.master_residual and the training wi
 Each classical closed form (weights and G) is written once, as an unchecked body; a public
 closed-form map checks its point and rejects the neural generator (one place, _point), then runs
 the body. path_map checks a path once, before the kind matters, and gives its weights, G and
-Hessian: a closed-form generator's from its bodies, the neural one's from one neural_map and
-neural_hessian.
+master-equation drift: a closed-form generator's from its bodies and generator_hessian, the
+neural one's from one neural_map and icnn.input_curvature.
 
 A slice of a backtest is a few rows, so its cost is calls, not arithmetic. The weight checks, the
 closed forms and the neural map's tail reduce with the ufunc's own reduce (np.add.reduce,
@@ -205,7 +206,7 @@ def generator_value(gen: Generator, x):
 def generator_hessian(gen: Generator, x) -> np.ndarray:
     """Hessian of G for a closed-form generator, (n, n) at a point and (m, n, n) for a batch, at
     an x that check_positive passes; the EWP one reads G from the unchecked closed form, so x is
-    checked once. The neural Hessian is path_map's or neural_hessian's."""
+    checked once. The neural generator has no Hessian here: path_map reads its curvature."""
     x = _point(gen, x)
     n = x.shape[-1]
     if gen.kind == "constant":
@@ -238,21 +239,29 @@ def _diagonal(H):
 
 
 def path_map(gen: Generator, W):
-    """The map of any generator along a path W (T+1, n), in one checked pass: (pi, G, H) with the
-    weights pi (T, n) and the Hessian H (T, n, n) at rows 0..T-1, the left end of each step, and
-    G (T+1,) at every row. W is checked once, before the kind matters, by check_path and
-    check_positive, so every kind rejects a bad path with one class and one message.
+    """The map of any generator along a path W (T+1, n), in one checked pass: (pi, G, drift) with
+    the weights pi (T, n) at rows 0..T-1, the left end of each step, G (T+1,) at every row, and
+    the master equation's drift sum_s -d_s^T H(x_s) d_s / (2 G_s), a float, with H the Hessian
+    of G and d_s = x_s * (log x_{s+1} - log x_s) the step's log-increment. W is checked once,
+    before the kind matters, by check_path and check_positive, so every kind rejects a bad path
+    with one class and one message.
 
     A closed-form generator's maps have the bits of the public ones: the weights and G come from
-    the unchecked bodies, and H from the generator_hessian call, which checks rows 0..T-1 once
-    more (the EWP Hessian forms its own G there). A neural generator's come from one neural_map
-    of all T+1 rows, so the ICNN runs once (its weights and Hessian at row T go unused), with G
-    read over the G floor."""
+    the unchecked bodies, and the drift from the generator_hessian call, which checks rows
+    0..T-1 once more (the EWP Hessian forms its own G there). A neural generator's come from one
+    neural_map of all T+1 rows, so the ICNN runs once (its weights at row T go unused), with G
+    read over the G floor; its drift is d_s^T H_f d_s / (2 G_s) by icnn.input_curvature, since
+    H = -H_f, so no (T, n, n) Hessian is formed."""
     x = check_positive(check_path(W))
+    log_x = np.log(x)
+    d = x[:-1] * (log_x[1:] - log_x[:-1])
     if gen.kind == "neural":
         nm = neural_map(gen.theta, x)
-        return nm.pi[:-1], nm.G_col.reshape(-1), neural_hessian(gen.theta, nm)[:-1]
-    return _weights(gen, x[:-1]), _value(gen, x), generator_hessian(gen, x[:-1])
+        G = nm.G_col.reshape(-1)
+        return nm.pi[:-1], G, float((0.5 / G[:-1]) @ icnn.input_curvature(gen.theta, nm.work, d))
+    G = _value(gen, x)
+    drift = np.einsum("s,sij,si,sj->", -0.5 / G[:-1], generator_hessian(gen, x[:-1]), d, d)
+    return _weights(gen, x[:-1]), G, float(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +310,6 @@ def neural_map_adjoint(nm: NeuralMap, X, d_pi, d_G):
     d_g_raw = d_g * ((nm.grad_log_g > -GRAD_CLIP) & (nm.grad_log_g < GRAD_CLIP))
     d_G_col = np.add.reduce(-d_g_raw * nm.neg_grad_f / (nm.G_col * nm.G_col), axis=1, keepdims=True)
     return (d_G_col.reshape(-1) * (nm.G > G_FLOOR) + d_G) * -1.0, d_g_raw / nm.G_col * -1.0
-
-
-def neural_hessian(theta: icnn.ICNNParams, nm: NeuralMap) -> np.ndarray:
-    """Hessian of G = -f at each row of a neural map's batch, (m, n, n): icnn.input_hessian negated."""
-    return -icnn.input_hessian(theta, nm.work)
 
 
 def neural_weights(theta: icnn.ICNNParams, x) -> PortfolioWeights:

@@ -8,8 +8,9 @@ biases, u and c stay unconstrained.
 Two numpy passes over the rows of an input batch serve every evaluation:
 `forward_layers` gives f, and `input_gradient` backpropagates f by hand to its
 input. They leave their activations, slopes and adjoints in a `Work` set, from
-which `input_hessian` builds the Hessian of f and `param_gradient` the gradient
-of a loss in the parameters.
+which `input_curvature` reads the second derivative of f along a direction per
+row (one forward-mode pass, no Hessian) and `param_gradient` the gradient of a
+loss in the parameters.
 """
 
 from __future__ import annotations
@@ -129,11 +130,11 @@ class Work:
 
     Whoever owns a batch builds the set and hands it to both passes; a pass overwrites what the
     set held, so a caller that repeats them over one row count, as training does every epoch,
-    builds one set for all of them. Only this module reads or writes the arrays. input_hessian
+    builds one set for all of them. Only this module reads or writes the arrays. input_curvature
     and param_gradient read what the passes left. param_gradient, the reverse of both passes,
     puts each (m, m_k) adjoint into an array whose value is dead by then: the sigmoid adjoints
     into A, 1 - S[k] into S[k] on its last use, and the rest into P and E. After it only Z and
-    D still hold the passes' values, so input_hessian, which reads S and A, runs before it.
+    D still hold the passes' values, so input_curvature, which reads S and A, runs before it.
     """
 
     def __init__(self, rows, widths):
@@ -189,24 +190,20 @@ def input_gradient(theta: ICNNParams, work: Work):
     return grad + theta.u
 
 
-def input_hessian(theta: ICNNParams, work: Work):
-    """Hessian of f (m, n, n) at each row, from the S and A that forward_layers and
-    input_gradient left in work (param_gradient overwrites them)."""
-    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations;
-    # H_f = sum_k J_k^T diag(c_k) J_k with c_k = D_k S_k (1 - S_k) = A_k (1 - S_k). J_k^T is kept
-    # as an (m, n, m_k) stack Jt, so each step's product with W_k^T is one gemm over the m n rows,
-    # Jt_k = (Jt_{k-1} diag S_{k-1}) W_k^T + U_k^T. J_0 is the same for every row, so the k = 0
-    # term is one gemm of c_0 against the outer products of W_0's rows.
-    S, A, widths = work.S, work.A, theta.widths
-    m, n = len(S[0]), theta.n
-    W0 = theta.W[0]
-    H = ((A[0] * (1.0 - S[0])) @ (W0[:, :, None] * W0[:, None, :]).reshape(widths[0], n * n)).reshape(m, n, n)
-    Jt = np.ascontiguousarray(W0.T)  # so that Jt * S[0] is C-ordered and its reshape is a view
-    for k in range(1, len(widths)):
-        Jt = ((Jt * S[k - 1][:, None, :]).reshape(m * n, widths[k - 1]) @ theta.W[k].T).reshape(m, n, widths[k])
-        Jt += theta.U[k - 1].T
-        H += Jt @ np.swapaxes(Jt * (A[k] * (1.0 - S[k]))[:, None, :], -1, -2)
-    return H
+def input_curvature(theta: ICNNParams, work: Work, D):
+    """d^T (Hessian of f) d (r,) at each of the first r = len(D) rows of work, d that row of D
+    (r, n), from the S and A that forward_layers and input_gradient left in work (param_gradient
+    overwrites them)."""
+    # H_f = sum_k J_k^T diag(A_k (1 - S_k)) J_k, J_k the Jacobian of the pre-activation P_k, so
+    # d^T H_f d = sum_k sum_u A_k (1 - S_k) (J_k d)_u^2. J_k d runs forward with the layers:
+    # J_0 d = W_0 d and J_k d = W_k (S_{k-1} * J_{k-1} d) + U_k d, (r, m_k) products per layer,
+    # so no (n, n) matrix is formed and n enters only the products with W_0 and U_k.
+    S, A, r = work.S, work.A, len(D)
+    q = np.zeros(r)
+    for k, W in enumerate(theta.W):
+        V = (V * S[k - 1][:r]) @ W.T + D @ theta.U[k - 1].T if k else D @ W.T
+        q += np.add.reduce(A[k][:r] * (1.0 - S[k][:r]) * V * V, axis=1)
+    return q
 
 
 def param_gradient(theta: ICNNParams, X, work: Work, d_f, d_grad, out: ICNNParams = None) -> ICNNParams:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from neuralfgp import backtest, fgp, icnn, market_data as md, training
 from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
+from test_icnn import neural_hessian
 
 
 def market_fn(x):
@@ -408,22 +409,23 @@ def test_master_residual_shrinks_with_step(gen):
 
 def split_from_public_maps(gen, W):
     """The decomposition as the public maps give it, each over all T+1 rows: the weights and the
-    Hessian at rows 0..T-1, and G, read over the floor from the ICNN's own forward pass."""
+    curvature along each step at rows 0..T-1, and G, read over the floor from the ICNN's own
+    forward pass."""
     pi = fgp.neural_weights(gen.theta, W).pi[:-1]
     log_v = float(np.log(backtest.relative_wealth(lambda x: fgp.PortfolioWeights(pi), W).terminal))
     G = np.maximum(-icnn.forward(gen.theta, W), fgp.G_FLOOR)
     log_g_ratio = float(np.log(G[-1] / G[0]))
     x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
-    H = fgp.neural_hessian(gen.theta, fgp.neural_map(gen.theta, W))
-    drift = float(np.einsum("s,sij,si,sj->", -0.5 / G[:-1], H[:-1], x_dlog, x_dlog))
+    q = icnn.input_curvature(gen.theta, fgp.neural_map(gen.theta, W).work, x_dlog)
+    drift = float((0.5 / G[:-1]) @ q)
     return backtest.MasterDecomposition(log_v, log_g_ratio, drift, log_v - log_g_ratio - drift)
 
 
 @pytest.mark.parametrize("widths", [(8,), (16, 8, 4), (64, 64)])
 @pytest.mark.parametrize("n", [3, 5])
 def test_neural_master_residual_matches_the_public_maps_bit_for_bit(widths, n):
-    # master_residual takes the weights, G and the Hessian from one neural_map of all T+1 rows: a
-    # map of rows 0..T-1 for the weights would change bits, since the gemm result depends on the
+    # master_residual takes the weights, G and the curvature from one neural_map of all T+1 rows:
+    # a map of rows 0..T-1 for the weights would change bits, since the gemm result depends on the
     # row count
     gen = fgp.Generator("neural", theta=icnn.init(n, widths, seed=n))
     for T in (1, 7, 20, 200):
@@ -444,6 +446,26 @@ def no_net_binds(theta, W):
         and (np.abs(nm.grad_log_g) < fgp.GRAD_CLIP).all()
         and (nm.pi_raw > fgp.PORTFOLIO_WEIGHT_FLOOR).all()
     )
+
+
+def test_neural_drift_matches_the_hessian_oracle():
+    # the drift from one forward-mode pass against -1/(2G) d^T H d over the whole Hessian of G,
+    # on slices where no net binds and on one where the G floor binds on some rows (the drift then
+    # divides by G_FLOOR there); every term is >= 0, so the sum is compared relative to itself
+    floored = icnn.init(3, (8,), seed=0)
+    W = weights_from_gbm(n_assets=3, n_days=21, seed=0).weights
+    floored.c[...] += np.median(-icnn.forward(floored, W))  # as in the log G ratio test below
+    cases = [(icnn.init(3, widths, seed=1), weights_from_gbm(n_assets=3, n_days=21, seed=1).weights)
+             for widths in ((8,), (16, 8, 4), (64, 64))] + [(floored, W)]
+    for theta, W in cases:
+        nm = fgp.neural_map(theta, W)
+        binds = not no_net_binds(theta, W)
+        assert binds == (theta is floored) == (nm.G < fgp.G_FLOOR).any()
+        x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
+        G = nm.G_col.reshape(-1)[:-1]
+        want = np.einsum("s,sij,si,sj->", -0.5 / G, neural_hessian(theta, nm)[:-1], x_dlog, x_dlog)
+        got = backtest.master_residual(fgp.Generator("neural", theta=theta), W).drift_integral
+        assert abs(got - want) <= 1e-12 * abs(want), theta.widths
 
 
 def neural_thetas():
@@ -615,6 +637,12 @@ def test_walk_forward_accepts_the_smallest_windows():
 def test_walk_forward_config_checks_exponents_before_any_window_trains(p_vals):
     with pytest.raises(ConfigError, match="diversity exponent"):
         backtest.WalkForwardConfig(p_vals=p_vals)
+    # a bare exponent, also as a 0-d array, and a string, whose characters are no exponents, are
+    # not a sequence of them
+    for bare in (p_vals[0], np.array(p_vals[0]), "0.5"):
+        with pytest.raises(ConfigError) as info:
+            backtest.WalkForwardConfig(p_vals=bare)
+        assert str(info.value) == f"p_vals must be a sequence of diversity exponents, got {bare!r}"
 
 
 def test_walk_forward_config_stores_its_widths_and_exponents_as_tuples():

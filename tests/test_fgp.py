@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from neuralfgp import autodiff as ad
 from neuralfgp import backtest, fgp, icnn, training
 from neuralfgp.errors import ConfigError, DataError, DimensionError, NumericError
-from test_icnn import with_arrays, zero_params
+from test_icnn import input_hessian, neural_hessian, with_arrays, zero_params
 
 
 def random_simplex(rng, n, size=None):
@@ -134,11 +134,14 @@ def test_classical_maps_reject_a_point_outside_their_domain(gen, value):
 )
 def test_classical_map_gives_the_public_maps_bits_along_a_path(gen):
     W = np.random.default_rng(4).dirichlet(np.ones(9), 21)
-    pi, G, H = fgp.path_map(gen, W)
+    pi, G, drift = fgp.path_map(gen, W)
     assert pi.tobytes() == fgp.classical_weights(gen, W[:-1]).pi.tobytes()
     assert G.tobytes() == fgp.generator_value(gen, W).tobytes()
-    assert H.tobytes() == fgp.generator_hessian(gen, W[:-1]).tobytes()
-    # the closed-form maps have no neural branch: the neural G and Hessian are path_map's, which
+    x_dlog = W[:-1] * np.diff(np.log(W), axis=0)
+    H = fgp.generator_hessian(gen, W[:-1])
+    want = np.einsum("s,sij,si,sj->", -0.5 / G[:-1], H, x_dlog, x_dlog)
+    assert np.float64(drift).tobytes() == np.float64(want).tobytes()
+    # the closed-form maps have no neural branch: the neural G and drift are path_map's, which
     # checks a path's shape once for every kind
     neural = fgp.Generator("neural", theta=icnn.init(9, (4,), seed=0))
     for kind in (gen, neural):
@@ -255,11 +258,11 @@ def test_neural_weights_match_independent_reimplementation():
 
 def value_and_hessian(gen, x):
     """G and its Hessian at a point (n,) or at each row of a batch (m, n): the closed-form maps,
-    or one neural_map of the rows and its neural_hessian, G read over the floor."""
+    or one neural_map of the rows and the oracle neural_hessian, G read over the floor."""
     if gen.kind != "neural":
         return fgp.generator_value(gen, x), fgp.generator_hessian(gen, x)
     nm = fgp.neural_map(gen.theta, np.atleast_2d(x))
-    return nm.G_col.reshape(x.shape[:-1]), fgp.neural_hessian(gen.theta, nm).reshape(x.shape + x.shape[-1:])
+    return nm.G_col.reshape(x.shape[:-1]), neural_hessian(gen.theta, nm).reshape(x.shape + x.shape[-1:])
 
 
 def test_neural_hessian_matches_one_layer_closed_form():
@@ -316,6 +319,13 @@ def test_neural_hessian_matches_jacobian_recursion(widths):
             assert np.abs(value_and_hessian(gen, X)[1] - ref).max() <= 1e-12 * np.abs(ref).max(), (n, rows)
 
 
+def grad_f(theta, X):
+    """grad f at each row of X by the numpy input-gradient recursion."""
+    work = icnn.Work(len(X), theta.widths)
+    icnn.forward_layers(theta, X, work)
+    return icnn.input_gradient(theta, work)
+
+
 @pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
 def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     # row i of the Hessian of f is d(grad f)/dx_i; grad f is the numpy input-gradient recursion
@@ -324,15 +334,52 @@ def test_neural_hessian_matches_finite_differences_of_grad_f(widths):
     theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
     gen = fgp.Generator("neural", theta=theta)
 
-    def grad_f(X):
-        work = icnn.Work(len(X), theta.widths)
-        icnn.forward_layers(theta, X, work)
-        return icnn.input_gradient(theta, work)
-
     h = 1e-5
     for x in random_simplex(rng, 4, 5):
-        fd = (grad_f(x + h * np.eye(4)) - grad_f(x - h * np.eye(4))) / (2 * h)
+        fd = (grad_f(theta, x + h * np.eye(4)) - grad_f(theta, x - h * np.eye(4))) / (2 * h)
         assert np.abs(value_and_hessian(gen, x)[1] + fd).max() <= 1e-7 * (1.0 + np.abs(fd).max())
+
+
+def curvature_case(rng, widths, n, rows):
+    """A theta of the given widths with random biases, a work set that forward_layers and
+    input_gradient ran in over rows + 1 simplex points, and rows random directions."""
+    theta = icnn.init(n, widths, seed=n)
+    theta = with_arrays(theta, **{f"b{k}": rng.normal(size=m) for k, m in enumerate(widths)})
+    X = random_simplex(rng, n, rows + 1)
+    work = icnn.Work(len(X), widths)
+    icnn.forward_layers(theta, X, work)
+    icnn.input_gradient(theta, work)
+    return theta, X, work, rng.normal(size=(rows, n))
+
+
+@pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4), (64, 64)], ids=["depth1", "depth2", "depth3", "64-64"])
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_input_curvature_matches_the_hessian_oracles(widths, n):
+    # d^T H_f d from one forward-mode pass, against the contraction of the whole Hessian, built as
+    # one stacked gemm (input_hessian) and row by row (jacobian_recursion_hessian); every term
+    # of the pass is >= 0 on a convex network, so each row is compared relative to itself
+    rng = np.random.default_rng(35)
+    for rows in (1, 6, 21):
+        theta, X, work, D = curvature_case(rng, widths, n, rows)
+        q = icnn.input_curvature(theta, work, D)
+        stacked = np.einsum("sij,si,sj->s", input_hessian(theta, work)[:rows], D, D)
+        per_row = np.array([-d @ jacobian_recursion_hessian(theta, x) @ d for x, d in zip(X, D)])
+        assert q.shape == (rows,) and (q > 0).all()
+        for ref in (stacked, per_row):
+            assert (np.abs(q - ref) <= 1e-12 * np.abs(ref)).all(), (rows, np.abs(q / ref - 1).max())
+
+
+@pytest.mark.parametrize("widths", [(6,), (6, 5), (7, 5, 4)], ids=["depth1", "depth2", "depth3"])
+def test_input_curvature_matches_finite_differences_of_grad_f(widths):
+    # d^T H_f d = d/dt d^T grad f(x + t d) at t = 0, by a central difference of the numpy
+    # input-gradient recursion, at test_neural_hessian_matches_finite_differences_of_grad_f's tolerance
+    rng = np.random.default_rng(36)
+    theta, X, work, D = curvature_case(rng, widths, 4, 5)
+
+    h = 1e-5
+    fd = np.einsum("si,si->s", grad_f(theta, X[:-1] + h * D) - grad_f(theta, X[:-1] - h * D), D) / (2 * h)
+    q = icnn.input_curvature(theta, work, D)
+    assert (np.abs(q - fd) <= 1e-7 * (1.0 + np.abs(fd))).all()
 
 
 def test_importing_fgp_loads_no_tape():

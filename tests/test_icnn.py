@@ -25,6 +25,35 @@ def random_simplex(rng, n, size=None):
     return rng.dirichlet(np.ones(n), size)
 
 
+# --- Hessian oracles -----------------------------------------------------------
+
+
+def input_hessian(theta, work):
+    """Hessian of f (m, n, n) at each row, from the S and A that icnn.forward_layers and
+    icnn.input_gradient left in work: the whole matrix that icnn.input_curvature contracts
+    with a direction without forming it."""
+    # J_0 = W_0 and J_k = W_k diag(S_{k-1}) J_{k-1} + U_k are the Jacobians of the pre-activations;
+    # H_f = sum_k J_k^T diag(c_k) J_k with c_k = D_k S_k (1 - S_k) = A_k (1 - S_k). J_k^T is kept
+    # as an (m, n, m_k) stack Jt, so each step's product with W_k^T is one gemm over the m n rows,
+    # Jt_k = (Jt_{k-1} diag S_{k-1}) W_k^T + U_k^T. J_0 is the same for every row, so the k = 0
+    # term is one gemm of c_0 against the outer products of W_0's rows.
+    S, A, widths = work.S, work.A, theta.widths
+    m, n = len(S[0]), theta.n
+    W0 = theta.W[0]
+    H = ((A[0] * (1.0 - S[0])) @ (W0[:, :, None] * W0[:, None, :]).reshape(widths[0], n * n)).reshape(m, n, n)
+    Jt = np.ascontiguousarray(W0.T)  # so that Jt * S[0] is C-ordered and its reshape is a view
+    for k in range(1, len(widths)):
+        Jt = ((Jt * S[k - 1][:, None, :]).reshape(m * n, widths[k - 1]) @ theta.W[k].T).reshape(m, n, widths[k])
+        Jt += theta.U[k - 1].T
+        H += Jt @ np.swapaxes(Jt * (A[k] * (1.0 - S[k]))[:, None, :], -1, -2)
+    return H
+
+
+def neural_hessian(theta, nm):
+    """Hessian of G = -f at each row of a neural map's batch, (m, n, n): input_hessian negated."""
+    return -input_hessian(theta, nm.work)
+
+
 # --- init -------------------------------------------------------------------
 
 

@@ -8,9 +8,10 @@ tape size from the result of `training.build_loss`, and the JSON hand-over of
 theta between warm-started windows. A change that stops those calls must fail
 here too.
 
-Three layering rules are checked on the source: only `icnn` reads a `Work` set's arrays;
-`backtest` evaluates a generator through `fgp.path_map`, not through the maps it is built on; and
-the neural G floor is read only where it is applied or masks a gradient.
+Four layering rules are checked on the source: only `icnn` reads a `Work` set's arrays;
+`backtest` evaluates a generator through `fgp.path_map`, not through the maps it is built on;
+the neural G floor is read only where it is applied or masks a gradient; and no function forms
+the ICNN's Hessian, which is a test oracle only.
 
 Every committed `BENCH_*.json` record must parse and give, for each workload it lists, every
 end-to-end metric of `BENCHMARK.json` with the parent's and the change's runs pair by pair.
@@ -93,11 +94,11 @@ def functions_reading(name):
 
 
 def test_backtest_evaluates_generators_through_path_map():
-    # master_residual reads every kind's weights, G and Hessian from one fgp.path_map, so backtest
+    # master_residual reads every kind's weights, G and drift from one fgp.path_map, so backtest
     # names none of the maps it is built on; and fgp evaluates the ICNN only through neural_map
     backtest_names = names_read(ast.parse(Path(backtest.__file__).read_text(encoding="utf-8")))
     assert "path_map" in backtest_names
-    assert not backtest_names & {"neural_map", "neural_hessian", "classical_map"}
+    assert not backtest_names & {"neural_map", "input_curvature", "generator_hessian", "classical_map"}
     assert "forward" not in names_read(ast.parse(Path(fgp.__file__).read_text(encoding="utf-8")))
 
 
@@ -184,19 +185,32 @@ def test_walk_forward_without_warm_start_makes_no_json(monkeypatch, jobs):
 
 
 def test_neural_master_residual_runs_the_icnn_once(monkeypatch):
-    # one neural_map of all T+1 rows serves the weights, G and the Hessian
+    # one neural_map of all T+1 rows serves the weights, G and the curvature along each step
     gen = fgp.Generator("neural", theta=icnn.init(3, (4, 4), seed=0))
     W = np.random.default_rng(0).dirichlet(np.ones(3), 21)
     layers = counting(monkeypatch, icnn, "forward_layers")
     gradients = counting(monkeypatch, icnn, "input_gradient")
+    curvatures = counting(monkeypatch, icnn, "input_curvature")
     works = counting(monkeypatch, icnn, "Work")
     backtest.master_residual(gen, W)
-    assert (len(layers), len(gradients), len(works)) == (1, 1, 1)
+    assert (len(layers), len(gradients), len(curvatures), len(works)) == (1, 1, 1, 1)
+
+
+def test_src_forms_no_hessian_of_the_icnn():
+    # the neural drift is one forward-mode pass; the whole Hessian of f is a test oracle only
+    defined = {
+        node.name
+        for path in sorted(Path(icnn.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "input_curvature" in defined
+    assert not defined & {"input_hessian", "neural_hessian"}
 
 
 @pytest.mark.parametrize("gen", [fgp.Generator("equal"), fgp.Generator("diversity", p=0.5)], ids=lambda g: g.label)
 def test_classical_master_residual_checks_its_slice_at_most_twice(monkeypatch, gen):
-    # one fgp.path_map serves the weights, G and the Hessian; the Hessian still comes through
+    # one fgp.path_map serves the weights, G and the drift; its Hessian still comes through
     # the public generator_hessian, whose span the benchmark's attribution share reads
     assert "fgp.generator_hessian" in traced_names()
     W = np.random.default_rng(0).dirichlet(np.ones(5), 21)

@@ -463,12 +463,12 @@ def test_work_arrays_carry_nothing_between_calls():
                 assert run[name][0].flat.tobytes() == ref_theta.flat.tobytes()
 
     theta, X = runs[0]["a"][0], cases["a"][1]
-    pi, H = fgp.neural_weights(theta, X).pi, fgp.neural_hessian(theta, fgp.neural_map(theta, X))
-    kept = pi.tobytes(), H.tobytes()
+    pi, q = fgp.neural_weights(theta, X).pi, icnn.input_curvature(theta, fgp.neural_map(theta, X).work, X[:-1])
+    kept = pi.tobytes(), q.tobytes()
     fgp.neural_weights(theta, X[::-1])
-    fgp.neural_hessian(theta, fgp.neural_map(theta, X[:3]))
+    icnn.input_curvature(theta, fgp.neural_map(theta, X[:3]).work, X[:2])
     training.train_window(theta, X, cfg)
-    assert (pi.tobytes(), H.tobytes()) == kept
+    assert (pi.tobytes(), q.tobytes()) == kept
 
 
 def test_training_log_csv(tmp_path):
